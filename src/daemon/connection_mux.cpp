@@ -244,11 +244,21 @@ void ConnectionMux::assign_connection(util::StreamSocket socket,
 
 void ConnectionMux::mark_dirty(const std::shared_ptr<MuxConnection>& conn) {
   Worker& worker = *workers_[conn->worker_];
+  bool first = false;
   {
     const std::lock_guard<std::mutex> lock(worker.mutex);
+    first = worker.dirty.empty();
     worker.dirty.push_back(conn);
   }
-  worker.wake.signal();
+  // Only the push that makes the inbox non-empty signals.  Its signal
+  // follows its push, and the worker drains the wake BEFORE it swaps
+  // (see worker_loop), so some swap after that signal takes the entry.
+  // A push finding the inbox non-empty joins the same list ahead of that
+  // swap and leaves with it.  One eventfd write and one epoll pass per
+  // burst of answers, not per answer.
+  if (first) {
+    worker.wake.signal();
+  }
 }
 
 void ConnectionMux::adopt_incoming(Worker& worker) {

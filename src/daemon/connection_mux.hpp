@@ -15,8 +15,8 @@
 //     of max_frames_per_wake frames per connection per pass — a chatty
 //     pipeliner is rotated behind its neighbours, never ahead of them.
 //   * The write side is a per-connection buffer any thread may append
-//     to (send_line — completion callbacks land here from dispatcher
-//     threads); the owning worker flushes it, arming EPOLLOUT only
+//     to (send_line — completion callbacks land here from engine
+//     workers); the owning worker flushes it, arming EPOLLOUT only
 //     while the kernel buffer is full.  A consumer that stops reading
 //     grows that buffer; at max_write_queue_bytes it is disconnected
 //     with a diagnostic ("backpressure") rather than allowed to pin
@@ -257,7 +257,8 @@ class ConnectionMux {
   /// Routes a freshly accepted socket to the next worker round-robin.
   void assign_connection(util::StreamSocket socket,
                          const std::string& transport);
-  /// Queues `conn` on its worker's dirty list and wakes the worker.
+  /// Queues `conn` on its worker's dirty list and wakes the worker when
+  /// the list was empty (a non-empty list already has a wake pending).
   void mark_dirty(const std::shared_ptr<MuxConnection>& conn);
   /// Runs due timers (worker 0) and returns the ms until the next one
   /// (-1 = none pending).

@@ -13,23 +13,32 @@
 //   poll(ticket)           -> QUEUED / RUNNING / DONE / FAILED /
 //                             CANCELLED, plus the result once terminal
 //   cancel(ticket)         -> removes a queued job outright; a running
-//                             job is flagged and skipped at the next job
-//                             boundary within its shard (a solve already
-//                             past its boundary check runs to
-//                             completion)
+//                             job is flagged and its solve stops at the
+//                             next DP column
 //   wait(ticket)           -> blocks until terminal (the daemon's `wait`
 //                             verb; poll is the non-blocking form)
 //
-// One dispatcher thread drains the queue: each cycle it pops up to
-// max_batch highest-priority jobs, marks them RUNNING, and runs them as
-// one engine batch (which shards over the engine's pool — the dispatcher
-// serializes admission, not solving).  Results are identical to calling
-// BatchEngine::solve directly with the same jobs: the manager adds
-// scheduling, never configuration (pinned by tests/daemon/).
+// Per-job dispatch: the manager posts up to one pull task per engine
+// worker to the engine's own pool.  A pull task takes the
+// highest-priority queued job, solves it on its own thread
+// (BatchEngine::solve_job — one arena lease, no further pool hop), marks
+// it terminal, and fires its wait_async callbacks after releasing the
+// manager mutex.  Each job is answered when its own solve ends, never
+// held back by a slower job dispatched beside it.  While jobs remain
+// queued the task re-posts itself instead of looping, so other work on
+// the same pool (apply_link_updates re-solves) interleaves with the job
+// stream instead of waiting for the queue to empty.  Results are
+// identical to calling BatchEngine::solve directly with the same jobs:
+// the manager adds scheduling, never configuration (pinned by
+// tests/daemon/).
+//
+// One dispatcher thread remains, for deadlines only: it expires overdue
+// queued jobs (also while paused) and runs no solve.
 //
 // pause()/resume() gate dispatch (drain-for-maintenance, deterministic
-// tests); stop() (and the destructor) finishes the in-flight batch,
-// leaves still-queued jobs QUEUED, and joins the dispatcher.
+// tests); stop() (and the destructor) lets each running job finish,
+// leaves still-queued jobs QUEUED, waits until no pull task touches the
+// manager, and joins the dispatcher.
 //
 // Deadlines: a job submitted with deadline_ms > 0 gets an absolute
 // deadline measured FROM SUBMISSION — queue wait counts against the
@@ -43,6 +52,11 @@
 // as a deadline on everything queued or running, and blocks until the
 // manager is idle (or the budget + a small grace elapsed).  The report
 // says whether the daemon is now safe to stop().
+//
+// Memory: a queued job lives in the queue until a pull task moves it
+// into its solve; a terminal record keeps only what poll/wait and the
+// trace span answer (trace id, priority, state, result), never the
+// pipeline — the max_retained_results records a daemon holds stay small.
 
 #include <chrono>
 #include <condition_variable>
@@ -103,10 +117,6 @@ struct JobStatus {
 };
 
 struct JobManagerOptions {
-  /// Jobs per dispatch cycle (0 = drain everything queued).  1 gives
-  /// strict priority order end to end; larger batches amortize engine
-  /// sharding over more jobs at the cost of coarser preemption.
-  std::size_t max_batch = 0;
   /// Start with dispatch gated (resume() opens it) — submissions queue
   /// up but nothing runs.  Used by tests and maintenance restarts.
   bool start_paused = false;
@@ -193,26 +203,27 @@ class JobManager {
   /// job's terminal status — the epoll front end's replacement for a
   /// handler thread blocked in wait().  Fires inline (from this call)
   /// when the job is already terminal or the manager is stopping;
-  /// otherwise from whichever thread drives the terminal transition
-  /// (dispatcher, a cancel caller) or from stop(), with shutting_down
-  /// set when the state will never advance.  Callbacks run with the
-  /// manager mutex held: they must not call back into the JobManager
-  /// (send a frame, signal an event loop — nothing re-entrant).  Throws
+  /// otherwise from whichever thread drives the terminal transition (a
+  /// pull task on an engine worker, the dispatcher, a cancel caller) or
+  /// from stop(), with shutting_down set when the state will never
+  /// advance.  Callbacks run WITHOUT the manager mutex, but on a thread
+  /// that has work waiting: keep them short (send a frame, signal an
+  /// event loop), and never call stop() from one.  Throws
   /// std::out_of_range for a ticket that was never issued or whose
   /// record was already evicted.
   void wait_async(Ticket ticket,
                   std::function<void(const JobStatus&)> callback);
 
   /// True when the request was accepted: a queued job is cancelled
-  /// outright (terminal immediately); a running one is flagged, and the
-  /// engine skips it if its shard has not yet passed the job boundary —
-  /// poll() then reports kCancelled, or kDone if the solve won the race.
+  /// outright (terminal immediately); a running one is flagged, and its
+  /// solve stops at the next DP column — poll() then reports
+  /// kCancelled, or kDone if the solve won the race.
   /// False — a no-op — when the job was already terminal.  Throws
   /// std::out_of_range for a ticket that was never issued.
   bool cancel(Ticket ticket);
 
-  /// Gate / reopen dispatch.  Pausing does not interrupt the in-flight
-  /// batch; it stops the next one from starting.
+  /// Gate / reopen dispatch.  Pausing does not interrupt running jobs;
+  /// it stops the next one from starting.
   void pause();
   void resume();
 
@@ -251,22 +262,25 @@ class JobManager {
       const;
 
   /// Runs `callback` once when the manager is idle (nothing queued,
-  /// nothing running) or stopping — inline when that already holds.
-  /// Same re-entrancy rule as wait_async: the mutex is held.
+  /// nothing running, no pull task in flight) or stopping — inline when
+  /// that already holds.  Runs with the manager mutex held: it must not
+  /// call back into the JobManager.
   void notify_when_idle(std::function<void()> callback);
 
   /// True once drain() has closed admission.
   [[nodiscard]] bool draining() const;
 
-  /// Stops the dispatcher: finishes the in-flight batch, leaves queued
-  /// jobs QUEUED, joins the thread.  Idempotent; the destructor calls it.
+  /// Stops dispatch: running jobs finish, queued jobs stay QUEUED, and
+  /// stop() returns once no pull task touches the manager any more and
+  /// the dispatcher is joined.  Idempotent; the destructor calls it.
+  /// Must not be called from a wait_async callback (it would wait on
+  /// the pull task running it).
   void stop();
 
  private:
   using Clock = std::chrono::steady_clock;
 
   struct Record {
-    service::SolveJob job;
     int priority = 0;
     JobState state = JobState::kQueued;
     bool cancel_requested = false;
@@ -274,42 +288,81 @@ class JobManager {
     /// meaningful only when has_deadline.
     Clock::time_point deadline{};
     bool has_deadline = false;
-    /// Trace phase timestamps: stamped at submit() and pop_batch().  A
-    /// job that turns terminal without ever dispatching (queue cancel,
-    /// queue expiry) leaves dispatched = false and its whole lifetime
-    /// counts as queue wait.
+    /// Trace phase timestamps: stamped at submit() and when a pull task
+    /// takes the job.  A job that turns terminal without ever running
+    /// (queue cancel, queue expiry) leaves dispatched = false and its
+    /// whole lifetime counts as queue wait.
     Clock::time_point submitted_at{};
     Clock::time_point dispatched_at{};
     bool dispatched = false;
+    std::string trace_id;
+    /// The outcome once terminal; its identity fields (job id, network,
+    /// objective) are what the trace span cites.
     service::SolveResult result;
   };
 
+  /// Dispatch order: higher priority first, then submission order
+  /// (tickets increase monotonically).
+  struct QueueKey {
+    int priority = 0;
+    Ticket ticket = 0;
+  };
+  struct QueueOrder {
+    bool operator()(const QueueKey& a, const QueueKey& b) const {
+      return a.priority != b.priority ? a.priority > b.priority
+                                      : a.ticket < b.ticket;
+    }
+  };
+
+  /// A terminal ticket's wait_async callbacks and the status they get:
+  /// collected under mutex_, run after it is released.
+  struct Completion {
+    JobStatus status;
+    std::vector<std::function<void(const JobStatus&)>> callbacks;
+  };
+  using Completions = std::vector<Completion>;
+  static void run_completions(const Completions& completions);
+
   void dispatch_loop();
-  /// Pops the next batch by (priority desc, ticket asc) and marks it
-  /// RUNNING.  Caller holds mutex_.
-  [[nodiscard]] std::vector<Ticket> pop_batch();
+  /// One pull task: takes the first queued job, solves it on the
+  /// calling (engine worker) thread, marks it terminal, runs its
+  /// callbacks, then re-posts itself while jobs remain queued.
+  void pull();
+  /// Counts pull tasks to post so that every queued job has one, within
+  /// one per engine worker (none while paused or stopping).  Caller
+  /// holds mutex_, then posts the returned number after releasing it.
+  [[nodiscard]] std::size_t reserve_pulls();
+  /// Posts `count` pull tasks already counted in pulls_.
+  void post_pulls(std::size_t count);
+  /// The per-column signal of a running job: its cancel flag and its
+  /// submission-clock deadline, read under mutex_.
+  [[nodiscard]] service::JobSignal signal_of(const Record& record) const;
   /// Expires queued jobs whose deadline has passed (terminal kTimedOut
   /// without running; works while paused — a gated queue must not hold
   /// deadline jobs in limbo).  Returns whether any expired.  Caller
   /// holds mutex_ and notifies done_cv_ on true.
-  bool expire_overdue_queued();
+  bool expire_overdue_queued(Completions& completions);
   /// Earliest deadline among queued jobs, or time_point::max().  Caller
   /// holds mutex_.
   [[nodiscard]] Clock::time_point earliest_queued_deadline() const;
   /// Marks a record terminal: bumps the cumulative counter, assembles
   /// the ticket's TraceSpan (feeding the queue-wait / end-to-end
-  /// histograms, and the slowlog when it qualifies), queues the record
-  /// for retention-cap eviction, prunes over-cap records.  EVERY
-  /// terminal transition funnels through here — dispatcher results,
-  /// queue-side cancels, queue expiry — so histogram sample totals equal
-  /// terminal tickets by construction (the chaos driver's conservation
-  /// invariant).  Also fires the ticket's wait_async callbacks (before
-  /// any eviction can drop the record).  Caller holds mutex_ and
-  /// notifies done_cv_ afterwards.
-  void mark_terminal(Ticket ticket, Record& record, JobState state);
+  /// histograms, and the slowlog when it qualifies), hands the ticket's
+  /// wait_async callbacks to `completions`, queues the record for
+  /// retention-cap eviction, prunes over-cap records.  EVERY terminal
+  /// transition funnels through here — pull tasks, queue-side cancels,
+  /// queue expiry — so histogram sample totals equal terminal tickets by
+  /// construction (the chaos driver's conservation invariant).  Caller
+  /// holds mutex_, notifies done_cv_ afterwards, and runs the
+  /// completions once it released mutex_.
+  void mark_terminal(Ticket ticket, Record& record, JobState state,
+                     Completions& completions);
   /// Builds the poll()-shaped status for a record.  Caller holds mutex_.
-  [[nodiscard]] JobStatus status_of(Ticket ticket,
-                                    const Record& record) const;
+  [[nodiscard]] static JobStatus status_of(Ticket ticket,
+                                           const Record& record);
+  /// Nothing queued, nothing running, no pull task in flight.  Caller
+  /// holds mutex_.
+  [[nodiscard]] bool idle() const;
   /// Fires and clears the idle watchers when idle-or-stopping holds.
   /// Caller holds mutex_; call wherever done_cv_ gets notified.
   void fire_idle_watchers_if_idle();
@@ -327,9 +380,14 @@ class JobManager {
   util::Counter* cancelled_c_;
   util::Counter* timed_out_c_;
 
+  /// Pull tasks the engine pool can run at once.
+  const std::size_t workers_;
+
   mutable std::mutex mutex_;
-  std::condition_variable dispatch_cv_;  // queue non-empty / resume / stop
-  std::condition_variable done_cv_;      // any job reached terminal state
+  /// Wakes the dispatcher: a deadline job arrived, resume, drain, stop.
+  std::condition_variable dispatch_cv_;
+  /// Any job reached a terminal state, or a pull task finished.
+  std::condition_variable done_cv_;
   std::map<Ticket, Record> records_;
   /// Pending wait_async callbacks, fired (and erased) at the ticket's
   /// terminal transition or at stop().
@@ -337,12 +395,16 @@ class JobManager {
       waiters_;
   /// Pending notify_when_idle callbacks.
   std::vector<std::function<void()>> idle_watchers_;
-  std::vector<Ticket> queue_;  // tickets in QUEUED state, unordered
+  /// QUEUED jobs in dispatch order, each holding its job until a pull
+  /// task moves it into the solve.
+  std::map<QueueKey, service::SolveJob, QueueOrder> queue_;
   /// Terminal tickets in completion order — the eviction queue for
   /// max_retained_results.
   std::deque<Ticket> terminal_order_;
   Ticket next_ticket_ = 1;
   std::size_t running_count_ = 0;
+  /// Pull tasks posted and not yet finished (stop() waits for 0).
+  std::size_t pulls_ = 0;
   bool paused_ = false;
   bool draining_ = false;
   bool stopping_ = false;

@@ -253,7 +253,6 @@ SocketServer::SocketServer(std::string socket_path,
   engine_ = std::make_unique<service::BatchEngine>(engine_options);
 
   JobManagerOptions manager_options;
-  manager_options.max_batch = options_.max_batch;
   manager_options.start_paused = options_.start_paused;
   manager_options.metrics = &metrics_;
   manager_options.slowlog = &slowlog_;
@@ -672,7 +671,8 @@ void SocketServer::handle_wait_framed(
   try {
     const Ticket ticket = ticket_field(request);
     // Completion-driven wait: no thread parks.  The callback may fire
-    // inline (already terminal), from the dispatcher, or from stop();
+    // inline (already terminal), from the engine worker that finished
+    // the job, or from stop();
     // the connection may be long gone by then, hence the weak_ptr.
     // `version` rides along by value: the response speaks the protocol
     // the connection had when it asked.

@@ -113,7 +113,6 @@ struct SocketServerOptions {
   /// construction; `stats` reports the result and per-kernel job counts).
   core::kernels::Kind kernel = core::kernels::Kind::kAuto;
   /// Forwarded to the owned JobManager.
-  std::size_t max_batch = 0;
   bool start_paused = false;
   /// Mapper resolution for the engine (empty = built-in "ELPC" only;
   /// the CLI installs the full registry).
@@ -220,13 +219,13 @@ class SocketServer {
  private:
   /// Per-connection protocol state, attached to MuxConnection::
   /// user_state.  The flags are worker-only; the quota counters are
-  /// atomics because completion callbacks decrement them from
-  /// dispatcher threads.
+  /// atomics because completion callbacks decrement them from engine
+  /// worker threads.
   struct ConnState {
     bool authenticated = false;
     /// Negotiated wire protocol version (1 until a successful `hello`).
     /// Atomic because async completion callbacks (wait) read it from
-    /// dispatcher threads while the owning worker may renegotiate.
+    /// engine worker threads while the owning worker may renegotiate.
     std::atomic<int> version{1};
     std::atomic<std::size_t> inflight_jobs{0};
     std::atomic<std::size_t> inflight_bytes{0};

@@ -241,9 +241,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   util::ArgParser parser("elpc serve");
   parser.add_string("socket", "", "Unix-domain socket path (required)");
   parser.add_int("threads", 0, "engine worker threads / shards (0 = hardware)");
-  parser.add_int("max-batch", 0,
-                 "jobs per dispatch cycle (0 = drain the queue; 1 = strict "
-                 "priority order)");
   parser.add_int("session-cache-bytes", 0,
                  "per-session revision-history budget in bytes "
                  "(0 = keep no unpinned history)");
@@ -303,7 +300,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
     throw std::invalid_argument("elpc serve: --socket is required");
   }
   if (parser.get_int("session-cache-bytes") < 0 ||
-      parser.get_int("threads") < 0 || parser.get_int("max-batch") < 0 ||
+      parser.get_int("threads") < 0 ||
       parser.get_int("lease-ms") < 0 || parser.get_int("lease-grace-ms") < 0 ||
       parser.get_int("slow-ms") < 0 || parser.get_int("slowlog-capacity") < 0 ||
       parser.get_int("tracelog-capacity") < 0 ||
@@ -316,7 +313,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
 
   daemon::SocketServerOptions options;
   options.threads = static_cast<std::size_t>(parser.get_int("threads"));
-  options.max_batch = static_cast<std::size_t>(parser.get_int("max-batch"));
   options.session_history_bytes =
       static_cast<std::size_t>(parser.get_int("session-cache-bytes"));
   options.kernel = core::kernels::kind_from_name(parser.get_string("kernel"));

@@ -19,6 +19,17 @@ pipeline::CostOptions default_cost(Objective objective) {
       .include_link_delay = objective == Objective::kMinDelay};
 }
 
+SolveResult unsolved_result(const SolveJob& job, std::string error) {
+  SolveResult result;
+  result.job_id = job.id;
+  result.network = job.network;
+  result.algorithm = job.algorithm;
+  result.objective = job.objective;
+  result.result = mapping::MapResult::infeasible(error);
+  result.error = std::move(error);
+  return result;
+}
+
 mapping::MapperPtr make_engine_elpc(const MapperContext& ctx) {
   core::ElpcOptions options;
   options.parallel_sweep = false;
@@ -142,73 +153,119 @@ bool BatchEngine::incremental_job(const SolveJob& job) const {
          job.algorithm == "ELPC" && job.repeats <= 1 && !job.warmup;
 }
 
+NetworkSession& BatchEngine::job_session(const SolveJob& job) const {
+  NetworkSession* session = find_session(job.network);
+  if (session == nullptr) {
+    throw std::invalid_argument("BatchEngine: job '" + job.id +
+                                "' names unregistered network '" +
+                                job.network + "'");
+  }
+  return *session;
+}
+
+BatchEngine::IncrementalBinding BatchEngine::bind(
+    const SolveJob& job, NetworkSession& session,
+    std::shared_ptr<const std::vector<graph::LinkUpdate>> delta) const {
+  IncrementalBinding binding;
+  binding.session = &session;
+  if (incremental_job(job)) {
+    // Without a delta (the plain solve path) a fresh entry captures and
+    // a retained one whose revision still matches replays for free
+    // (solve_one supplies the empty delta in that case).
+    binding.key = job.id;
+    binding.entry = session.checkpoint_entry(job.id);
+    binding.delta = std::move(delta);
+  }
+  return binding;
+}
+
+template <typename Job>
+void BatchEngine::update_subscription(Job&& job,
+                                      const NetworkSession::Current& snap,
+                                      const SolveResult& result,
+                                      const IncrementalBinding& binding) {
+  // A cancelled or timed-out job never ran (or never finished), so it
+  // must not install or replace a subscription either.
+  if (result.error == kCancelledError || result.error == kTimedOutError) {
+    return;
+  }
+  // Re-submitting a job replaces (or, with resolve_on_update off,
+  // removes) its subscription: without this, a client re-sending the
+  // same job file would multiply every future re-solve, and turning the
+  // flag off would have no way to stop them.
+  const auto existing = std::find_if(
+      subscriptions_.begin(), subscriptions_.end(),
+      [&job](const Subscription& s) {
+        return s.job.id == job.id && s.job.network == job.network;
+      });
+  if (job.resolve_on_update) {
+    // Pinning the solved-against snapshot keeps that revision in the
+    // session cache for as long as the subscription is current.
+    Subscription entry{std::forward<Job>(job), snap.network};
+    if (existing == subscriptions_.end()) {
+      subscriptions_.push_back(std::move(entry));
+    } else {
+      *existing = std::move(entry);
+    }
+  } else if (existing != subscriptions_.end()) {
+    subscriptions_.erase(existing);
+    // The checkpoint belongs to the subscription; unsubscribing releases
+    // its bytes instead of waiting out the LRU.
+    if (options_.incremental) {
+      binding.session->drop_checkpoint(job.id);
+    }
+  }
+}
+
 std::vector<SolveResult> BatchEngine::solve(const std::vector<SolveJob>& jobs,
                                             const CancelFn& cancelled) {
   std::vector<NetworkSession::Current> snapshots;
-  std::vector<IncrementalBinding> bindings(jobs.size());
+  std::vector<IncrementalBinding> bindings;
   snapshots.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SolveJob& job = jobs[i];
-    NetworkSession* session = find_session(job.network);
-    if (session == nullptr) {
-      throw std::invalid_argument("BatchEngine: job '" + job.id +
-                                  "' names unregistered network '" +
-                                  job.network + "'");
-    }
-    snapshots.push_back(session->current());
-    bindings[i].session = session;
-    if (incremental_job(job)) {
-      // No delta on the plain solve path: a fresh entry captures; a
-      // retained one whose revision still matches replays for free
-      // (solve_one supplies the empty delta in that case).
-      bindings[i].key = job.id;
-      bindings[i].entry = session->checkpoint_entry(job.id);
-    }
+  bindings.reserve(jobs.size());
+  for (const SolveJob& job : jobs) {
+    NetworkSession& session = job_session(job);
+    snapshots.push_back(session.current());
+    bindings.push_back(bind(job, session, nullptr));
   }
   const CancelFn effective =
       with_deadlines(std::span<const SolveJob>(jobs), snapshots,
                      std::span<const IncrementalBinding>(bindings), cancelled);
   std::vector<SolveResult> results = run_sharded(
       std::span<const SolveJob>(jobs), snapshots, bindings, effective);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SolveJob& job = jobs[i];
-      // A cancelled or timed-out job never ran (or never finished), so
-      // it must not install or replace a subscription either.
-      if (results[i].error == kCancelledError ||
-          results[i].error == kTimedOutError) {
-        continue;
-      }
-      // Re-submitting a job replaces (or, with resolve_on_update off,
-      // removes) its subscription: without this, a client re-sending the
-      // same job file would multiply every future re-solve, and turning
-      // the flag off would have no way to stop them.
-      const auto existing = std::find_if(
-          subscriptions_.begin(), subscriptions_.end(),
-          [&job](const Subscription& s) {
-            return s.job.id == job.id && s.job.network == job.network;
-          });
-      if (job.resolve_on_update) {
-        // Pinning the solved-against snapshot keeps that revision in the
-        // session cache for as long as the subscription is current.
-        Subscription entry{job, snapshots[i].network};
-        if (existing == subscriptions_.end()) {
-          subscriptions_.push_back(std::move(entry));
-        } else {
-          *existing = std::move(entry);
-        }
-      } else if (existing != subscriptions_.end()) {
-        subscriptions_.erase(existing);
-        // The checkpoint belongs to the subscription; unsubscribing
-        // releases its bytes instead of waiting out the LRU.
-        if (options_.incremental) {
-          bindings[i].session->drop_checkpoint(job.id);
-        }
-      }
-    }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    update_subscription(jobs[i], snapshots[i], results[i], bindings[i]);
   }
   return results;
+}
+
+SolveResult BatchEngine::solve_job(SolveJob job, const CancelFn& cancelled) {
+  NetworkSession* session = nullptr;
+  try {
+    session = &job_session(job);
+  } catch (const std::invalid_argument& e) {
+    return unsolved_result(job, e.what());  // solve()'s diagnostic
+  }
+  const NetworkSession::Current snap = session->current();
+  const IncrementalBinding binding = bind(job, *session, nullptr);
+  const CancelFn effective =
+      with_deadlines(std::span<const SolveJob>(&job, 1),
+                     std::span<const NetworkSession::Current>(&snap, 1),
+                     std::span<const IncrementalBinding>(&binding, 1),
+                     cancelled);
+  SolveResult result;
+  {
+    const util::ProfileScope dispatch_phase("dispatch", "engine", 0);
+    const core::ArenaPool::Lease lease = arenas_.acquire();
+    MapperContext ctx;
+    ctx.arena = lease.get();
+    ctx.kernel = kernel_;
+    solve_one(job, snap, ctx, 0, &binding, 0, effective, nullptr, result);
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  update_subscription(std::move(job), snap, result, binding);
+  return result;
 }
 
 std::vector<SolveResult> BatchEngine::apply_link_updates(
@@ -235,16 +292,12 @@ std::vector<SolveResult> BatchEngine::apply_link_updates(
   // The delta that justifies column reuse: shared by every subscribed
   // job's binding (solve_one only applies it when the job's checkpoint
   // was captured against exactly the superseded revision).
-  std::vector<IncrementalBinding> bindings(subscribed.size());
   const auto delta = std::make_shared<const std::vector<graph::LinkUpdate>>(
       updates.begin(), updates.end());
-  for (std::size_t i = 0; i < subscribed.size(); ++i) {
-    bindings[i].session = &session;
-    if (incremental_job(subscribed[i])) {
-      bindings[i].key = subscribed[i].id;
-      bindings[i].entry = session.checkpoint_entry(subscribed[i].id);
-      bindings[i].delta = delta;
-    }
+  std::vector<IncrementalBinding> bindings;
+  bindings.reserve(subscribed.size());
+  for (const SolveJob& job : subscribed) {
+    bindings.push_back(bind(job, session, delta));
   }
   // Subscribed jobs keep their deadlines on re-solves too (measured from
   // the re-solve's start), so a delta storm cannot wedge a shard.
@@ -392,51 +445,9 @@ std::vector<SolveResult> BatchEngine::run_sharded(
       const std::size_t lo = s * jobs.size() / shards;
       const std::size_t hi = (s + 1) * jobs.size() / shards;
       for (std::size_t i = lo; i < hi; ++i) {
-        if (cancelled) {
-          const JobSignal signal = cancelled(i);
-          if (signal != JobSignal::kNone) {
-            // The job-boundary check: skipped jobs report a uniform
-            // marker instead of a solver outcome.
-            const char* marker = signal == JobSignal::kTimeout
-                                     ? kTimedOutError
-                                     : kCancelledError;
-            results[i].job_id = jobs[i].id;
-            results[i].network = jobs[i].network;
-            results[i].algorithm = jobs[i].algorithm;
-            results[i].objective = jobs[i].objective;
-            results[i].network_revision = snapshots[i].revision;
-            results[i].shard = s;
-            results[i].error = marker;
-            results[i].result = mapping::MapResult::infeasible(marker);
-            continue;
-          }
-        }
-        // The same signal, re-polled once per DP column inside the
-        // solve: a deadline or late cancel stops the job within one
-        // column's work instead of running it to completion.  The probe
-        // doubles as the trace layer's per-column tick (dp_columns) —
-        // one increment of a local folded into an existing call, never a
-        // new hot-loop branch (probe-free solves stay probe-free).
-        core::AbortProbe abort;
-        std::uint64_t dp_columns = 0;
-        if (cancelled) {
-          abort = [&cancelled, i, &dp_columns]() {
-            ++dp_columns;
-            switch (cancelled(i)) {
-              case JobSignal::kCancel:
-                return core::SolveAbort::kCancelled;
-              case JobSignal::kTimeout:
-                return core::SolveAbort::kTimedOut;
-              case JobSignal::kNone:
-                break;
-            }
-            return core::SolveAbort::kNone;
-          };
-        }
         solve_one(jobs[i], snapshots[i], ctx, s,
-                  bindings.empty() ? nullptr : &bindings[i], abort,
+                  bindings.empty() ? nullptr : &bindings[i], i, cancelled,
                   staleness_epoch, results[i]);
-        results[i].dp_columns = dp_columns;
       }
     });
   }
@@ -447,9 +458,45 @@ std::vector<SolveResult> BatchEngine::run_sharded(
 void BatchEngine::solve_one(
     const SolveJob& job, const NetworkSession::Current& snap,
     const MapperContext& ctx, std::size_t shard,
-    const IncrementalBinding* binding, const core::AbortProbe& abort,
+    const IncrementalBinding* binding, std::size_t index,
+    const CancelFn& cancelled,
     const std::chrono::steady_clock::time_point* staleness_epoch,
     SolveResult& out) {
+  if (cancelled) {
+    const JobSignal signal = cancelled(index);
+    if (signal != JobSignal::kNone) {
+      // The job-boundary check: skipped jobs report a uniform marker
+      // instead of a solver outcome.
+      out = unsolved_result(job, signal == JobSignal::kTimeout
+                                     ? kTimedOutError
+                                     : kCancelledError);
+      out.network_revision = snap.revision;
+      out.shard = shard;
+      return;
+    }
+  }
+  // The same signal, re-polled once per DP column inside the solve: a
+  // deadline or late cancel stops the job within one column's work
+  // instead of running it to completion.  The probe doubles as the
+  // trace layer's per-column tick (dp_columns) — one increment of a
+  // local folded into an existing call, never a new hot-loop branch
+  // (probe-free solves stay probe-free).
+  core::AbortProbe abort;
+  std::uint64_t dp_columns = 0;
+  if (cancelled) {
+    abort = [&cancelled, index, &dp_columns]() {
+      ++dp_columns;
+      switch (cancelled(index)) {
+        case JobSignal::kCancel:
+          return core::SolveAbort::kCancelled;
+        case JobSignal::kTimeout:
+          return core::SolveAbort::kTimedOut;
+        case JobSignal::kNone:
+          break;
+      }
+      return core::SolveAbort::kNone;
+    };
+  }
   // Fault point "engine_stall": the shard thread wedges right here,
   // snapshot pinned, before any abort probe can fire — exactly the hung
   // solve the lease machinery exists to survive.
@@ -578,6 +625,7 @@ void BatchEngine::solve_one(
   out.incremental = inc_stats.incremental;
   out.columns_total = inc_stats.columns_total;
   out.columns_reused = inc_stats.columns_reused;
+  out.dp_columns = dp_columns;
   if (out.error.empty()) {
     solve_histogram("elpc_solve_ms", out).record(out.mean_runtime_ms);
     if (staleness_epoch != nullptr) {

@@ -23,6 +23,11 @@
 // retained as a subscription; apply_link_updates(network, deltas)
 // publishes the new revision and immediately re-solves the subscribed
 // jobs against it, returning those results.
+//
+// One job at a time: solve_job(job) runs the same per-job path (session
+// binding, deadlines, arena lease, solve, subscription bookkeeping) on
+// the calling thread, with no pool hop — the daemon's JobManager calls
+// it from tasks it posts to this engine's own pool.
 
 #include <array>
 #include <atomic>
@@ -232,6 +237,12 @@ inline constexpr const char* kCancelledError = "cancelled";
 /// while queued/at the job boundary, or aborted mid-DP).
 inline constexpr const char* kTimedOutError = "deadline exceeded";
 
+/// The uniform result of a job that never reached a solver (unknown
+/// network, or cancelled/expired before it ran): identity fields from
+/// the job, `error` as both the error and the infeasibility reason.
+[[nodiscard]] SolveResult unsolved_result(const SolveJob& job,
+                                          std::string error);
+
 /// What a cancellation predicate wants done with a job: nothing, skip it
 /// as cancelled, or skip it as timed out.  Inside a running solve the
 /// same signal maps onto core::SolveAbort and stops the DP at the next
@@ -321,6 +332,14 @@ class BatchEngine {
   std::vector<SolveResult> solve(const std::vector<SolveJob>& jobs,
                                  const CancelFn& cancelled = nullptr);
 
+  /// Solves ONE job on the calling thread — the same preparation, arena
+  /// lease, deadline fusion and subscription bookkeeping as solve(), but
+  /// no shard task and no pool hop, and the job is moved in rather than
+  /// copied.  Where solve() would reject its batch up front, an
+  /// unregistered network here yields unsolved_result(job, diagnostic):
+  /// there is no batch to reject.  `cancelled` is called with index 0.
+  SolveResult solve_job(SolveJob job, const CancelFn& cancelled = nullptr);
+
   /// Applies metric deltas to a session (publishing its next revision)
   /// and re-solves the jobs subscribed to it, returning their results in
   /// subscription order.
@@ -347,6 +366,11 @@ class BatchEngine {
   /// The registry this engine publishes to (the caller's, or the
   /// engine-private fallback).
   [[nodiscard]] util::MetricsRegistry& metrics() const { return *metrics_; }
+
+  /// The pool solve() shards run on (the caller's, or the engine's own);
+  /// callers of solve_job post their tasks here so solving never needs
+  /// threads beyond the engine's.
+  [[nodiscard]] util::ThreadPool& pool() const { return *pool_; }
 
  private:
   /// A retained resolve_on_update job.  `pinned` is the snapshot of the
@@ -376,6 +400,23 @@ class BatchEngine {
   /// plain run (repeats/warmup re-run the solve, which would make the
   /// checkpoint's "last solved revision" bookkeeping ambiguous).
   [[nodiscard]] bool incremental_job(const SolveJob& job) const;
+  /// The session a job names; throws std::invalid_argument when its
+  /// network is not registered.
+  [[nodiscard]] NetworkSession& job_session(const SolveJob& job) const;
+  /// Per-job incremental wiring for `job` on `session` (inert for jobs
+  /// the incremental path does not apply to); `delta` is the update that
+  /// justifies reuse on the re-solve path, null on the plain solve path.
+  [[nodiscard]] IncrementalBinding bind(
+      const SolveJob& job, NetworkSession& session,
+      std::shared_ptr<const std::vector<graph::LinkUpdate>> delta) const;
+  /// Installs, replaces or removes `job`'s subscription after a solve
+  /// (see solve()); a cancelled or timed-out job leaves the table alone.
+  /// Caller holds mutex_.  `job` is forwarded into the table, so
+  /// solve_job moves where solve() has to copy.
+  template <typename Job>
+  void update_subscription(Job&& job, const NetworkSession::Current& snap,
+                           const SolveResult& result,
+                           const IncrementalBinding& binding);
   /// `snapshots` (and `bindings`, when non-empty) are index-aligned
   /// with `jobs`: every job's session state is resolved once, up front,
   /// on the calling thread — workers never touch the engine mutex, and
@@ -389,10 +430,14 @@ class BatchEngine {
       std::span<const NetworkSession::Current> snapshots,
       std::span<const IncrementalBinding> bindings, const CancelFn& cancelled,
       const std::chrono::steady_clock::time_point* staleness_epoch = nullptr);
+  /// Runs job `index` of a batch (or the lone job of solve_job) on the
+  /// calling thread with the given arena context: the job-boundary
+  /// check of `cancelled`, then the solve with the same signal polled
+  /// per DP column.
   void solve_one(const SolveJob& job, const NetworkSession::Current& snap,
                  const MapperContext& ctx, std::size_t shard,
-                 const IncrementalBinding* binding,
-                 const core::AbortProbe& abort,
+                 const IncrementalBinding* binding, std::size_t index,
+                 const CancelFn& cancelled,
                  const std::chrono::steady_clock::time_point* staleness_epoch,
                  SolveResult& out);
   /// Histogram child for one solve's label set (kernel × objective ×

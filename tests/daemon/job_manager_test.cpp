@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -45,6 +51,52 @@ std::vector<service::SolveJob> make_jobs(std::size_t n) {
   return jobs;
 }
 
+/// Holds every job whose id starts with "held" inside the mapper
+/// factory until open() — a long solve under the test's control.
+class FactoryGate {
+ public:
+  [[nodiscard]] service::MapperFactory factory() {
+    return [this](const service::SolveJob& job,
+                  const service::MapperContext& ctx) {
+      if (job.id.rfind("held", 0) == 0) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ++entered_;
+        cv_.notify_all();
+        cv_.wait(lock, [this]() { return open_; });
+      }
+      return service::make_engine_elpc(ctx);
+    };
+  }
+  /// Blocks until `count` held jobs reached the factory.
+  void wait_entered(int count) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this, count]() { return entered_ >= count; });
+  }
+  void open() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+/// wait_async delivered into a future, so a test can bound its wait.
+std::future<JobStatus> async_status(JobManager& manager, Ticket ticket) {
+  auto promise = std::make_shared<std::promise<JobStatus>>();
+  std::future<JobStatus> future = promise->get_future();
+  manager.wait_async(ticket, [promise](const JobStatus& status) {
+    promise->set_value(status);
+  });
+  return future;
+}
+
+constexpr auto kBound = std::chrono::seconds(10);
+
 TEST(JobManager, AsyncResultsBitIdenticalToDirectSolve) {
   service::BatchEngine engine;
   engine.register_network("net", make_network(3));
@@ -74,12 +126,13 @@ TEST(JobManager, AsyncResultsBitIdenticalToDirectSolve) {
 }
 
 TEST(JobManager, DispatchFollowsPriorityThenSubmissionOrder) {
-  // Record the order jobs reach the mapper factory.  max_batch = 1 makes
-  // dispatch strictly one job per cycle, so the recorded order is the
+  // Record the order jobs reach the mapper factory.  A 1-thread engine
+  // runs one pull task at a time, so the recorded order is the
   // scheduling order; start_paused lets all submissions queue first.
   std::mutex order_mutex;
   std::vector<std::string> order;
   service::BatchEngineOptions engine_options;
+  engine_options.threads = 1;
   engine_options.factory = [&order, &order_mutex](
                                const service::SolveJob& job,
                                const service::MapperContext& ctx) {
@@ -93,7 +146,6 @@ TEST(JobManager, DispatchFollowsPriorityThenSubmissionOrder) {
   engine.register_network("net", make_network(3));
 
   JobManagerOptions manager_options;
-  manager_options.max_batch = 1;
   manager_options.start_paused = true;
   JobManager manager(engine, manager_options);
 
@@ -246,6 +298,189 @@ TEST(JobManager, StatsTrackStates) {
   EXPECT_EQ(stats.done, 2u);
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_FALSE(stats.paused);
+}
+
+TEST(JobManager, ShortJobFinishesWhileALongOneIsHeld) {
+  // Per-job dispatch: each job is answered when its own solve ends.  On
+  // a 2-thread engine a short job queued behind a long one runs on the
+  // other worker and reaches done while the long one is still held.
+  FactoryGate gate;
+  service::BatchEngineOptions engine_options;
+  engine_options.threads = 2;
+  engine_options.factory = gate.factory();
+  service::BatchEngine engine(engine_options);
+  engine.register_network("net", make_network(3));
+  JobManager manager(engine);
+
+  const Ticket held =
+      manager.submit(make_job("held", 7, service::Objective::kMaxFrameRate));
+  gate.wait_entered(1);
+  const Ticket quick =
+      manager.submit(make_job("quick", 8, service::Objective::kMinDelay));
+  std::future<JobStatus> quick_done = async_status(manager, quick);
+  ASSERT_EQ(quick_done.wait_for(kBound), std::future_status::ready);
+  EXPECT_EQ(quick_done.get().state, JobState::kDone);
+  EXPECT_EQ(manager.poll(held).state, JobState::kRunning);
+
+  gate.open();
+  EXPECT_EQ(manager.wait(held).state, JobState::kDone);
+}
+
+TEST(JobManager, DrainReturnsOnlyAfterEveryCompletionRan) {
+  // Callbacks run after the manager mutex is released, still on the
+  // pull task; drain() must not report idle while one is mid-flight.
+  service::BatchEngineOptions engine_options;
+  engine_options.threads = 1;
+  service::BatchEngine engine(engine_options);
+  engine.register_network("net", make_network(3));
+  JobManagerOptions manager_options;
+  manager_options.start_paused = true;
+  JobManager manager(engine, manager_options);
+
+  std::atomic<int> finished{0};
+  for (const service::SolveJob& job : make_jobs(3)) {
+    manager.wait_async(manager.submit(job), [&finished](const JobStatus&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+  }
+  const DrainReport report = manager.drain(0);  // lifts the pause
+  EXPECT_TRUE(report.drained);
+  EXPECT_EQ(report.completed, 3u);
+  EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(JobManager, StopWaitsForThePullTaskItInterrupts) {
+  // stop() lets the running job finish and leaves the queue QUEUED; it
+  // may not return while a pull task still touches the manager, so the
+  // manager can be destroyed at once and the engine pool reused.
+  FactoryGate gate;
+  service::BatchEngineOptions engine_options;
+  engine_options.threads = 1;
+  engine_options.factory = gate.factory();
+  service::BatchEngine engine(engine_options);
+  engine.register_network("net", make_network(3));
+  auto manager = std::make_unique<JobManager>(engine);
+
+  const Ticket held =
+      manager->submit(make_job("held", 7, service::Objective::kMinDelay));
+  const Ticket queued =
+      manager->submit(make_job("next", 8, service::Objective::kMinDelay));
+  gate.wait_entered(1);
+  std::atomic<int> released{0};
+  for (const Ticket ticket : {held, queued}) {
+    manager->wait_async(ticket, [&released](const JobStatus& status) {
+      EXPECT_TRUE(status.shutting_down);
+      released.fetch_add(1);
+    });
+  }
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&]() {
+    manager->stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "stop() returned under a running job";
+  EXPECT_EQ(released.load(), 2);  // waiters released with shutting_down
+  gate.open();
+  stopper.join();
+
+  EXPECT_EQ(manager->poll(held).state, JobState::kDone);
+  EXPECT_EQ(manager->poll(queued).state, JobState::kQueued);
+  EXPECT_EQ(manager->stats().running, 0u);
+  manager.reset();
+  // No pull task outlived its manager: the pool serves a batch normally.
+  EXPECT_EQ(engine.solve(make_jobs(2)).size(), 2u);
+}
+
+TEST(JobManager, ResolveInterleavesWithAJobStream) {
+  // A pull task re-posts itself rather than looping, so a subscription
+  // re-solve queued on the same pool runs between two jobs of a stream
+  // instead of after the whole queue.
+  std::atomic<int> stream_solves{0};
+  service::BatchEngineOptions engine_options;
+  engine_options.threads = 1;
+  engine_options.factory = [&stream_solves](
+                               const service::SolveJob& job,
+                               const service::MapperContext& ctx) {
+    if (job.id.rfind("stream", 0) == 0) {
+      stream_solves.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    }
+    return service::make_engine_elpc(ctx);
+  };
+  service::BatchEngine engine(engine_options);
+  engine.register_network("net", make_network(3));
+  JobManager manager(engine);
+
+  service::SolveJob subscription =
+      make_job("sub", 9, service::Objective::kMaxFrameRate);
+  subscription.resolve_on_update = true;
+  ASSERT_EQ(manager.wait(manager.submit(subscription)).state,
+            JobState::kDone);
+
+  constexpr int kStream = 60;
+  for (int i = 0; i < kStream; ++i) {
+    (void)manager.submit(make_job("stream" + std::to_string(i), 200 + i,
+                                  service::Objective::kMinDelay));
+  }
+  while (stream_solves.load() == 0) {
+    std::this_thread::yield();
+  }
+  const graph::Edge edge = make_network(3).out_edges(0).front();
+  const std::vector<graph::LinkUpdate> updates = {graph::LinkUpdate{
+      edge.from, edge.to,
+      graph::LinkAttr{edge.attr.bandwidth_mbps * 0.5, edge.attr.min_delay_s}}};
+  const std::vector<service::SolveResult> resolved =
+      engine.apply_link_updates("net", updates);
+  ASSERT_EQ(resolved.size(), 1u);
+  EXPECT_TRUE(resolved[0].error.empty()) << resolved[0].error;
+  EXPECT_EQ(resolved[0].network_revision, 1u);
+  // The stream is far from done: the re-solve did not wait it out.
+  EXPECT_GT(manager.stats().queued, 0u);
+  EXPECT_LT(stream_solves.load(), kStream);
+}
+
+TEST(JobManager, CancelDeadlineAndPauseActPerJob) {
+  FactoryGate gate;
+  service::BatchEngineOptions engine_options;
+  engine_options.threads = 2;
+  engine_options.factory = gate.factory();
+  service::BatchEngine engine(engine_options);
+  engine.register_network("net", make_network(3));
+  JobManager manager(engine);
+
+  // Both workers hold a job.  One is cancelled mid-solve (its per-column
+  // probe stops it once released); the other runs to done.
+  const Ticket victim =
+      manager.submit(make_job("held-a", 7, service::Objective::kMaxFrameRate));
+  const Ticket survivor =
+      manager.submit(make_job("held-b", 8, service::Objective::kMaxFrameRate));
+  gate.wait_entered(2);
+  EXPECT_TRUE(manager.cancel(victim));
+
+  // With both workers busy, a queued deadline job expires on its own
+  // while the held jobs are untouched.
+  service::SolveJob hurried = make_job("hurried", 9,
+                                       service::Objective::kMinDelay);
+  hurried.deadline_ms = 20;
+  std::future<JobStatus> expired = async_status(manager, manager.submit(hurried));
+  ASSERT_EQ(expired.wait_for(kBound), std::future_status::ready);
+  EXPECT_EQ(expired.get().state, JobState::kTimedOut);
+  EXPECT_EQ(manager.poll(survivor).state, JobState::kRunning);
+
+  // Pausing stops the next job from starting, not the running ones.
+  manager.pause();
+  const Ticket parked =
+      manager.submit(make_job("parked", 10, service::Objective::kMinDelay));
+  gate.open();
+  EXPECT_EQ(manager.wait(victim).state, JobState::kCancelled);
+  EXPECT_EQ(manager.wait(survivor).state, JobState::kDone);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(manager.poll(parked).state, JobState::kQueued);
+  manager.resume();
+  EXPECT_EQ(manager.wait(parked).state, JobState::kDone);
 }
 
 }  // namespace

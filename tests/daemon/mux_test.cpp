@@ -1,8 +1,8 @@
 // Edge cases of the epoll connection multiplexer front end: torn and
 // pipelined frames, write-queue backpressure, auth gating, per-client
 // quotas, waits outliving their submitter's connection, TCP transport
-// byte-identity, and the fixed-pool thread invariant idle connections
-// must not break.  The happy-path protocol flow lives in
+// byte-identity, the fixed-pool thread invariant idle connections must
+// not break, and delivery under concurrent senders off the IO worker.  The happy-path protocol flow lives in
 // socket_server_test.cpp; hostile-input robustness in
 // protocol_fuzz_test.cpp.
 
@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -392,6 +394,74 @@ TEST(ConnectionMux, IdleConnectionsCostNoThreads) {
 
   client.shutdown_server();
   serve_thread.join();
+}
+
+/// Completion callbacks answer from engine workers, not the owning IO
+/// worker, so many threads enqueue into one connection at once.  The
+/// worker's dirty inbox signals its wake only on the empty→non-empty
+/// push; every line from every sender must still arrive, each sender's
+/// in its own order, with no wake lost between push and swap.
+TEST(ConnectionMux, ConcurrentSendersFromNonIoThreadsDeliverEveryLine) {
+  const std::string path = socket_path("senders");
+  util::UnixListener listener(path);
+  std::mutex conn_mutex;
+  std::condition_variable conn_cv;
+  std::shared_ptr<MuxConnection> captured;
+  MuxCallbacks callbacks;
+  callbacks.on_frame = [&](const std::shared_ptr<MuxConnection>& conn,
+                           const std::string&) {
+    const std::lock_guard<std::mutex> lock(conn_mutex);
+    captured = conn;
+    conn_cv.notify_all();
+  };
+  MuxOptions options;
+  options.io_workers = 1;
+  ConnectionMux mux(options, callbacks);
+  mux.add_listener(&listener);
+  mux.start();
+
+  util::StreamSocket client = util::StreamSocket::connect(path);
+  client.set_recv_timeout(10000);  // a stranded line fails, never hangs
+  client.send_line("hello");
+  std::shared_ptr<MuxConnection> conn;
+  {
+    std::unique_lock<std::mutex> lock(conn_mutex);
+    conn_cv.wait(lock, [&]() { return captured != nullptr; });
+    conn = std::move(captured);
+  }
+
+  constexpr int kSenders = 8;
+  constexpr int kLines = 500;
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&conn, s]() {
+      for (int i = 0; i < kLines; ++i) {
+        conn->send_line(std::to_string(s) + ":" + std::to_string(i));
+        if (i % 64 == 0) {
+          std::this_thread::yield();  // vary the interleaving
+        }
+      }
+    });
+  }
+  std::vector<int> next(kSenders, 0);
+  for (int n = 0; n < kSenders * kLines; ++n) {
+    const std::optional<std::string> line = client.recv_line();
+    ASSERT_TRUE(line.has_value());
+    const std::size_t colon = line->find(':');
+    ASSERT_NE(colon, std::string::npos) << *line;
+    const int sender = std::stoi(line->substr(0, colon));
+    ASSERT_GE(sender, 0);
+    ASSERT_LT(sender, kSenders);
+    EXPECT_EQ(std::stoi(line->substr(colon + 1)), next[sender]++) << *line;
+  }
+  for (std::thread& sender : senders) {
+    sender.join();
+  }
+  for (int s = 0; s < kSenders; ++s) {
+    EXPECT_EQ(next[s], kLines) << "sender " << s;
+  }
+  conn.reset();
+  mux.stop();
 }
 
 /// Reads one v2 response: the JSON control line plus, when it carries a

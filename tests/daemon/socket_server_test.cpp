@@ -56,8 +56,7 @@ std::string socket_path(const std::string& tag) {
 /// stats → shutdown; results bit-identical to direct BatchEngine::solve.
 TEST(SocketServer, EndToEndFlowMatchesDirectEngine) {
   SocketServerOptions options;
-  options.threads = 2;
-  options.max_batch = 1;       // strict priority order
+  options.threads = 1;          // one pull task: strict priority order
   options.start_paused = true;  // queue everything before dispatching
   SocketServer server(socket_path("e2e"), options);
   std::thread serve_thread([&server]() { server.serve(); });
@@ -135,6 +134,47 @@ TEST(SocketServer, EndToEndFlowMatchesDirectEngine) {
   EXPECT_EQ(stats.at("queued").as_int(), 0);
   EXPECT_EQ(stats.at("sessions").as_int(), 1);
   EXPECT_EQ(stats.at("subscriptions").as_int(), 1);
+
+  client.shutdown_server();
+  serve_thread.join();
+}
+
+/// A terminal record keeps only what poll answers — the job itself is
+/// dropped when it completes — so a finished ticket's poll answer must
+/// be byte-identical however many jobs later it is asked, with the
+/// ticket's priority and trace id intact and the result equal to a
+/// direct solve's.
+TEST(SocketServer, TerminalPollStaysByteIdentical) {
+  SocketServerOptions options;
+  options.threads = 2;
+  SocketServer server(socket_path("poll_bytes"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+
+  DaemonClient client(server.socket_path());
+  client.register_network("net", make_network(3));
+  const service::SolveJob job =
+      make_job("kept", 60, service::Objective::kMaxFrameRate);
+  const Ticket ticket = client.submit(job, /*priority=*/4);
+  const util::Json waited = client.wait(ticket);
+  const util::Json first = client.poll(ticket);
+  ASSERT_EQ(first.at("state").as_string(), "done");
+  EXPECT_EQ(first.at("priority").as_int(), 4);
+  ASSERT_NE(first.find("trace_id"), nullptr);
+  EXPECT_EQ(first.at("trace_id").dump(), waited.at("trace_id").dump());
+  EXPECT_EQ(first.at("result").dump(), waited.at("result").dump());
+
+  for (int i = 0; i < 8; ++i) {
+    (void)client.wait(client.submit(
+        make_job("more" + std::to_string(i), 70 + i,
+                 i % 2 == 0 ? service::Objective::kMinDelay
+                            : service::Objective::kMaxFrameRate)));
+  }
+  EXPECT_EQ(client.poll(ticket).dump(), first.dump());
+
+  service::BatchEngine direct;
+  direct.register_network("net", make_network(3));
+  EXPECT_EQ(first.at("result").dump(),
+            service::result_entry_to_json(direct.solve({job}).front()).dump());
 
   client.shutdown_server();
   serve_thread.join();
