@@ -38,8 +38,24 @@ util::ThreadPool& sweep_pool() {
 /// hardware_concurrency() of 0 means "unknown" — but ThreadPool sizes
 /// its default worker count from the same call (max(1, hc)), so the pool
 /// would have one worker there anyway and gating off is consistent.
+/// Asked once per process: the call reads the CPU set from the OS (a
+/// syscall, ~2 us), and every DP call with parallel_sweep on consults it.
 bool multicore() {
-  return std::thread::hardware_concurrency() > 1;
+  static const bool answer = std::thread::hardware_concurrency() > 1;
+  return answer;
+}
+
+/// In-rows at least this long are scanned in bandwidth order with an
+/// early exit (both DPs), on networks whose mean in-degree reaches it
+/// too; other rows are scanned in `from` order, in full.  Either scan
+/// gives the same answer, so this is purely a speed choice: on a short
+/// row the exit saves less than the indirection and the per-column
+/// bookkeeping cost (measured on the sparse link_churn networks).
+constexpr std::size_t kOrderedScanMinDegree = 16;
+
+/// True when `net` is dense enough for ordered scans to pay.
+bool ordered_scans_pay(const graph::Network& net) {
+  return net.link_count() >= kOrderedScanMinDegree * net.node_count();
 }
 
 /// Backward hop prune for the frame-rate DP (its transitions all cross a
@@ -109,6 +125,8 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
   std::vector<double> cur(k, kInf);
   std::vector<NodeId> parent(n * k, kInvalidNode);
   std::vector<double> comp_col(k);
+  const bool ordered = ordered_scans_pay(net);
+  std::vector<double> seed(ordered ? k : 0);  // each cell's u_min candidate
   std::vector<NodeId> frontier;
   frontier.reserve(k);
   bool sparse_head = true;
@@ -118,6 +136,7 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
   // improves the generated inner loops.
   const Edge* const in_edges = net.in_edges_flat().data();
   const std::size_t* const in_off = net.in_row_offsets().data();
+  const std::uint32_t* const in_order = net.in_bandwidth_order_flat().data();
   const Edge* const out_edges = net.out_edges_flat().data();
   const std::size_t* const out_off = net.out_row_offsets().data();
 
@@ -187,23 +206,80 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
       // previous column and writes its own slots, so the column sweep
       // parallelizes without changing a single floating-point operation
       // — parallel and serial results are bit-identical.
+      // Long in-rows are visited widest first (Network::in_bandwidth_order),
+      // so input_mb / bandwidth never decreases along the scan, and every
+      // candidate (prev[u] + transport) + comp is at least
+      // (min_prev + input_mb / bandwidth) + comp (monotone rounding,
+      // delays >= 0).  Once that bound exceeds the best value, no later
+      // edge can win or tie: the scan stops.  To make the bound bite
+      // early, each cell starts from the candidate of the cheapest
+      // previous node u_min (one pass over u_min's out-row per column):
+      // the scan then stops right after the widths that could beat it.
+      // Candidates are totally ordered — value, then grouping, then the
+      // lower in-neighbour id — so visiting them in any order (and the
+      // seed twice) picks what the `from`-ordered scan picked.
+      NodeId u_min = 0;
+      double min_prev = kInf;
+      if (ordered) {
+        u_min = static_cast<NodeId>(
+            std::min_element(prev.begin(), prev.end()) - prev.begin());
+        min_prev = prev[u_min];
+        std::fill(seed.begin(), seed.end(), kInf);
+        if (min_prev != kInf) {
+          for (std::size_t i = out_off[u_min]; i < out_off[u_min + 1]; ++i) {
+            const Edge& e = out_edges[i];
+            seed[e.to] = min_prev + model.transport_time(input_mb, e.attr) +
+                         comp_col[e.to];
+          }
+        }
+      }
       const auto sweep_cell = [&](NodeId v) {
         const double comp = comp_col[v];
         // Sub-case (i): module j joins module j-1's node (grouping).
         double best = prev[v] == kInf ? kInf : prev[v] + comp;
         NodeId best_parent = v;
         // Sub-case (ii): module j-1 ran on an in-neighbour u of v.
-        for (std::size_t i = in_off[v]; i < in_off[v + 1]; ++i) {
-          const Edge& e = in_edges[i];
-          if (prev[e.from] == kInf) {
-            continue;
+        const Edge* const row = in_edges + in_off[v];
+        const std::size_t degree = in_off[v + 1] - in_off[v];
+        if (!ordered || degree < kOrderedScanMinDegree) {
+          // Short row: the plain `from`-ordered scan, where the strict
+          // comparison alone keeps grouping, then the lowest id, on ties.
+          for (std::size_t i = 0; i < degree; ++i) {
+            const Edge& e = row[i];
+            if (prev[e.from] == kInf) {
+              continue;
+            }
+            const double cand =
+                prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
+            if (cand < best) {
+              best = cand;
+              best_parent = e.from;
+            }
           }
-          const double cand =
-              prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
-          if (cand < best) {
-            best = cand;
-            best_parent = e.from;
+        } else {
+          // The incumbent's tie rank: 0 for grouping, from + 1 for an
+          // edge, so one branch-free test applies the tie order (an
+          // unreachable predecessor's candidate is +inf and never wins).
+          NodeId rank = 0;
+          if (seed[v] < best) {
+            best = seed[v];
+            rank = u_min + 1;
           }
+          const std::uint32_t* const order = in_order + in_off[v];
+          for (std::size_t i = 0; i < degree; ++i) {
+            const Edge& e = row[order[i]];
+            const double mb_bw = input_mb / e.attr.bandwidth_mbps;
+            if ((min_prev + mb_bw) + comp > best) {
+              break;
+            }
+            const double cand =
+                prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
+            const bool take =
+                (cand < best) | ((cand == best) & (e.from + 1 < rank));
+            best = take ? cand : best;
+            rank = take ? e.from + 1 : rank;
+          }
+          best_parent = rank == 0 ? v : rank - 1;
         }
         cur[v] = best;
         parent[j * k + v] = best_parent;
@@ -534,6 +610,7 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   // cell kernel measurably better code than per-row accessor calls.
   const Edge* const in_edges = net.in_edges_flat().data();
   const std::size_t* const in_off = net.in_row_offsets().data();
+  const std::uint32_t* const in_order = net.in_bandwidth_order_flat().data();
 
   int prev_p = 0;
   int cur_p = 1;
@@ -558,6 +635,34 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   // at most its best extendable label, so survivors automatically have
   // distinct predecessors — the diversity rule of the beam (identical-
   // parent survivors have highly correlated visited sets and add little).
+  // Ordered scans (kOrderedScanMinDegree) read the floor of the previous
+  // column's live labels (CellInputs::min_*), which set_label_floor
+  // refreshes before each column's cells run.  Slot 0 holds a cell's
+  // smallest bottleneck (candidates are sorted by it); sums are unsorted,
+  // so every live slot counts, branch-free over the fixed beam.
+  const bool ordered = ordered_scans_pay(net);
+  double floor_bn = 0.0;
+  double floor_sum = 0.0;
+  const auto set_label_floor = [&](int p) {
+    if (!ordered) {
+      return;
+    }
+    const double* bn = arena.bottleneck(p);
+    const double* sm = arena.sum(p);
+    const std::uint32_t* counts = arena.counts(p);
+    double min_bn = kInf;
+    double min_sum = kInf;
+    for (NodeId u = 0; u < k; ++u) {
+      const std::uint32_t count = counts[u];
+      min_bn = std::min(min_bn, count > 0 ? bn[u * beam] : kInf);
+      for (std::size_t s = 0; s < beam; ++s) {
+        min_sum = std::min(min_sum, s < count ? sm[u * beam + s] : kInf);
+      }
+    }
+    floor_bn = min_bn;
+    floor_sum = min_sum;
+  };
+
   const auto sweep_cell = [&](std::size_t j, NodeId v, double input_mb,
                               Candidate* cand) {
     // Only the destination cell matters in the final column; other nodes
@@ -578,6 +683,9 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     kernels::CellInputs inputs;
     inputs.edges = in_edges + in_off[v];
     inputs.edge_count = in_off[v + 1] - in_off[v];
+    inputs.order = ordered && inputs.edge_count >= kOrderedScanMinDegree
+                       ? in_order + in_off[v]
+                       : nullptr;
     inputs.bottleneck = arena.bottleneck(prev_p);
     inputs.sum = arena.sum(prev_p);
     inputs.counts = arena.counts(prev_p);
@@ -592,6 +700,8 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     inputs.bit = std::uint64_t{1} << (v & 63);
     inputs.input_mb = input_mb;
     inputs.comp = model.computing_time(j, v);
+    inputs.min_bottleneck = floor_bn;
+    inputs.min_sum = floor_sum;
     inputs.include_link_delay = model.options().include_link_delay;
     inputs.sum_tiebreak = options_.framerate_sum_tiebreak;
     const std::size_t kept = cell_kernel(inputs, cand);
@@ -710,6 +820,7 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       check_abort(options_);
       columns_phase.tick(j);
       arena.clear_column(cur_p);
+      set_label_floor(prev_p);
       const double input_mb = problem.pipeline->input_mb(j);
       if (pool != nullptr && j + 1 < n) {
         pool->parallel_for(chunks, [&](std::size_t c) {
@@ -790,6 +901,9 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       const double input_mb = problem.pipeline->input_mb(j);
       Candidate* cand = arena.scratch(0);
       next_changed.clear();
+      if (!dirty_list.empty()) {
+        set_label_floor(prev_p);
+      }
       const util::ProfileScope dirty_phase("dirty_recompute", "dp",
                                            dirty_list.size());
       for (const NodeId v : dirty_list) {

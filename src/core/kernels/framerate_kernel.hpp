@@ -5,21 +5,32 @@
 // -m flags while the rest of the library stays portable.
 //
 // One call computes one DP cell's candidate list: it scans the cell's
-// in-edge span (CSR order), and for each edge scans the predecessor
-// cell's label row (stored SoA by the FrameRateArena) and feeds that
-// row's best extendable label through the bounded top-beam insertion.
-// The caller materializes the survivors (visited-set copies, parent
-// records); the kernel only fills the candidate scratch.
+// in-edge span, and for each edge scans the predecessor cell's label row
+// (stored SoA by the FrameRateArena) and feeds that row's best
+// extendable label through the bounded top-beam insertion.  The caller
+// materializes the survivors (visited-set copies, parent records); the
+// kernel only fills the candidate scratch.
 //
 // The contract every variant must satisfy BIT-IDENTICALLY (pinned by
 // tests/core/kernel_parity_test.cpp and the CI kernel-parity job) is
 // the scalar reference in framerate_kernel_scalar.cpp:
 //
-//   for each edge e in order, with u = e.from and count = counts[u]:
+//   scan order: edges[order[0]], edges[order[1]], ... when `order` is
+//     set (the DP passes Network::in_bandwidth_order: descending
+//     bandwidth, ties by ascending `from`), else edges[0], edges[1], ...;
+//   for each edge e in scan order, with u = e.from and count = counts[u]:
 //     skip when count == 0;
-//     transport = input_mb / e.attr.bandwidth_mbps, then
-//       += e.attr.min_delay_s when include_link_delay — exactly
-//       pipeline::CostModel::transport_time's operations in its order;
+//     mb_bw = input_mb / e.attr.bandwidth_mbps;
+//     EXIT (ordered scans only, and only once the candidate array holds
+//       `beam` entries, worst = cand[beam - 1]), with
+//       key_bound = max(max(min_bottleneck, mb_bw), comp) and
+//       sum_bound = (min_sum + mb_bw) + comp, when
+//         key_bound > worst.bottleneck, or
+//         key_bound == worst.bottleneck and sum_tiebreak and
+//           sum_bound > worst.sum;
+//     transport = mb_bw, then += e.attr.min_delay_s when
+//       include_link_delay — exactly pipeline::CostModel::transport_time's
+//       operations in its order;
 //     for slot s in [0, count):
 //       skip when visited != nullptr and
 //         (visited[u * beam + s] & bit) != 0 — `visited` is the one
@@ -29,18 +40,33 @@
 //       sum_s  = (sum[u * beam + s] + transport) + comp   // this order
 //     row winner = the surviving slot with the lexicographically
 //       smallest (key_s, sum_s) when sum_tiebreak, else the smallest
-//       key_s; the LOWEST slot on an exact key tie;
+//       key_s; the LOWEST slot on an exact tie (label_before);
 //     insert the row winner into the candidate array via
-//       insert_candidate below (bounded, sorted best-first).
+//       insert_candidate below (bounded, sorted best-first; on an exact
+//       tie the LOWER node id ranks first in an ordered scan —
+//       candidate_before — and the earlier-scanned one otherwise, which
+//       on a CSR row sorted by `from` is the same order).
+//
+// Why the exit is exact: min_delay_s >= 0, every label is at least
+// (min_bottleneck, min_sum), and IEEE rounding is monotone, so every
+// label an edge offers has key >= key_bound and sum >= sum_bound; along
+// the order mb_bw never decreases, so neither bound does, while the worst
+// kept candidate never gets worse.  The bounds are strict, so an edge
+// that could still tie the worst one is scanned.  (Whether the exit test
+// runs before or after the count check does not matter: an edge with
+// count == 0 offers nothing.)  The node-id tie order makes the kept set
+// a function of the candidate SET alone, so an ordered scan keeps what a
+// full `from`-ordered scan keeps, bit for bit, in the same order.
 //
 // The addition order matters — (sum + transport) + comp and
 // sum + (transport + comp) round differently, and the parity guarantee
 // is bitwise.  Inputs are finite (costs are ratios of positive finite
 // quantities); NaN behaviour is unspecified.  A vector variant MAY skip
-// computing a row or chunk whose every surviving key is strictly worse
-// than the current worst kept candidate once the candidate array is
-// full — the insertion would provably reject it — but must not skip on
-// an exact tie (ties go through the sum comparison).
+// computing a row or chunk whose every surviving label is strictly worse
+// in (key, sum) than the current worst kept candidate once the candidate
+// array is full — the insertion would provably reject it — but must pass
+// an exact tie through to insert_candidate whenever u is below the worst
+// candidate's node id, since the node-id tie order admits it.
 //
 // Over-read allowance: to keep the vector paths free of bounds branches
 // and masked loads, the label arrays (`bottleneck`, `sum`) and the
@@ -48,6 +74,7 @@
 // past any row start.  The FrameRateArena guarantees this via its
 // kVectorPad tail; ad-hoc callers (tests) must pad the same way.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -62,9 +89,13 @@ namespace elpc::core::kernels {
 /// previous-column arrays (rows are indexed by edge source inside the
 /// kernel), not row starts.
 struct CellInputs {
-  /// The cell's in-edges, scanned in this (CSR) order.
+  /// The cell's in-edges (a CSR in row, sorted by `from`).
   const graph::Edge* edges = nullptr;
   std::size_t edge_count = 0;
+  /// Scan order: edge_count indices into `edges` by descending bandwidth,
+  /// ties by ascending `from` (Network::in_bandwidth_order), which lets
+  /// the scan exit early.  nullptr scans `edges` as stored, in full.
+  const std::uint32_t* order = nullptr;
   /// Previous label column, SoA (see FrameRateArena).
   const double* bottleneck = nullptr;
   const double* sum = nullptr;
@@ -79,41 +110,86 @@ struct CellInputs {
   /// Module input size (megabits) and the cell's computing time.
   double input_mb = 0.0;
   double comp = 0.0;
+  /// Lower bounds on the bottleneck and the sum of every live label of
+  /// the previous column, which tighten the ordered scan's exit test.
+  /// 0 is always valid: labels are non-negative.
+  double min_bottleneck = 0.0;
+  double min_sum = 0.0;
   /// Transport convention (CostOptions::include_link_delay).
   bool include_link_delay = false;
   /// Secondary selection criterion (ElpcOptions::framerate_sum_tiebreak).
   bool sum_tiebreak = false;
 };
 
-/// Ordering criterion shared by every variant: bottleneck first, then
-/// (optionally) the sum.  Strict — equal keys keep the incumbent.
-inline bool candidate_before(double bn_a, double sum_a, double bn_b,
-                             double sum_b, bool sum_tiebreak) {
+/// Row-winner criterion shared by every variant: bottleneck first, then
+/// (optionally) the sum.  Strict — equal labels keep the incumbent, so
+/// a row's lowest slot wins an exact tie.
+inline bool label_before(double bn_a, double sum_a, double bn_b,
+                         double sum_b, bool sum_tiebreak) {
   if (bn_a != bn_b) {
     return bn_a < bn_b;
   }
   return sum_tiebreak && sum_a < sum_b;
 }
 
+/// Candidate order of an ordered scan: label_before, then the lower
+/// node id on an exact tie.  A total order on one cell's candidates
+/// (each node offers at most one), so the kept set does not depend on
+/// the scan order.
+inline bool candidate_before(double bn_a, double sum_a, std::uint32_t node_a,
+                             double bn_b, double sum_b, std::uint32_t node_b,
+                             bool sum_tiebreak) {
+  if (bn_a != bn_b) {
+    return bn_a < bn_b;
+  }
+  if (sum_tiebreak && sum_a != sum_b) {
+    return sum_a < sum_b;
+  }
+  return node_a < node_b;
+}
+
+/// True when an ordered scan may stop: nothing an edge with transport
+/// bound `mb_bw` (or any later, narrower edge) offers can enter a full
+/// candidate array whose worst entry is (worst_bn, worst_sum) — see the
+/// contract above.
+inline bool scan_exhausted(const CellInputs& in, double mb_bw,
+                           double worst_bn, double worst_sum) {
+  const double key_bound =
+      std::max(std::max(in.min_bottleneck, mb_bw), in.comp);
+  if (key_bound != worst_bn) {
+    return key_bound > worst_bn;
+  }
+  return in.sum_tiebreak && (in.min_sum + mb_bw) + in.comp > worst_sum;
+}
+
 /// Bounded insertion keeping cand[0..kept) sorted best-first; the
 /// single definition all variants share, so insertion order cannot
-/// diverge between them.  Returns the new kept count.
+/// diverge between them.  Ordered scans (kNodeTies) rank exact ties by
+/// node id (candidate_before); a scan in stored order keeps the earlier
+/// candidate on an exact tie (label_before), which on a CSR row — sorted
+/// by `from` — is the same lower-node-id order without the extra compare.
+/// Returns the new kept count.
+template <bool kNodeTies>
 inline std::size_t insert_candidate(FrameRateArena::Candidate* cand,
                                     std::size_t kept, std::size_t beam,
                                     double bn, double sum,
                                     std::uint32_t node, std::uint32_t slot,
                                     bool sum_tiebreak) {
+  const auto before = [&](const FrameRateArena::Candidate& c) {
+    return kNodeTies ? candidate_before(bn, sum, node, c.bottleneck, c.sum,
+                                        c.node, sum_tiebreak)
+                     : label_before(bn, sum, c.bottleneck, c.sum,
+                                    sum_tiebreak);
+  };
   std::size_t pos;
   if (kept < beam) {
     pos = kept++;
-  } else if (candidate_before(bn, sum, cand[beam - 1].bottleneck,
-                              cand[beam - 1].sum, sum_tiebreak)) {
+  } else if (before(cand[beam - 1])) {
     pos = beam - 1;
   } else {
     return kept;
   }
-  while (pos > 0 && candidate_before(bn, sum, cand[pos - 1].bottleneck,
-                                     cand[pos - 1].sum, sum_tiebreak)) {
+  while (pos > 0 && before(cand[pos - 1])) {
     cand[pos] = cand[pos - 1];
     --pos;
   }

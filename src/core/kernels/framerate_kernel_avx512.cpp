@@ -32,30 +32,66 @@ inline __mmask8 lane_before(__m512d bn_a, __m512d sm_a, __m512d bn_b,
   return static_cast<__mmask8>(lt | (eq & tb & slt));
 }
 
-std::size_t avx512_cell(const CellInputs& in,
-                        FrameRateArena::Candidate* cand) {
+/// Per-lane "not worse": a beats b or ties it exactly — equal keys and,
+/// when the sum tiebreak is on, equal sums.
+inline __mmask8 lane_not_after(__m512d bn_a, __m512d sm_a, __m512d bn_b,
+                               __m512d sm_b, __mmask8 tb) {
+  const __mmask8 lt = _mm512_cmp_pd_mask(bn_a, bn_b, _CMP_LT_OQ);
+  const __mmask8 eq = _mm512_cmp_pd_mask(bn_a, bn_b, _CMP_EQ_OQ);
+  const __mmask8 sle = _mm512_cmp_pd_mask(sm_a, sm_b, _CMP_LE_OQ);
+  return static_cast<__mmask8>(lt | (eq & static_cast<__mmask8>(~tb | sle)));
+}
+
+template <bool kOrdered>
+std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Inputs hoisted into locals: stores through `cand` could otherwise
+  // alias them and force a reload on every edge.
+  const graph::Edge* const edges = in.edges;
+  const std::uint32_t* const order = in.order;
+  const std::size_t edge_count = in.edge_count;
+  const std::uint32_t* const counts = in.counts;
+  const double* const bottleneck = in.bottleneck;
+  const double* const sums = in.sum;
+  const std::uint64_t* const visited = in.visited;
   const std::size_t beam = in.beam;
-  const __m512d vcomp = _mm512_set1_pd(in.comp);
+  const double input_mb = in.input_mb;
+  const double comp = in.comp;
+  const bool link_delay = in.include_link_delay;
+  const bool sum_tiebreak = in.sum_tiebreak;
+  const __m512d vcomp = _mm512_set1_pd(comp);
   const __m512d vinf = _mm512_set1_pd(kInf);
   const __m512i vbit = _mm512_set1_epi64(static_cast<long long>(in.bit));
-  const auto tb = static_cast<__mmask8>(in.sum_tiebreak ? 0xFFu : 0u);
+  const auto tb = static_cast<__mmask8>(sum_tiebreak ? 0xFFu : 0u);
   const __m512i idx0 = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
 
   std::size_t kept = 0;
-  // The worst kept candidate, as splats for the per-chunk reject test;
-  // meaningful only once kept == beam.
+  // The worst kept candidate, as scalars for the exit and tie tests and
+  // as splats for the per-chunk reject test; meaningful only once
+  // kept == beam.
+  double worst_bn = 0.0;
+  double worst_sum = 0.0;
+  std::uint32_t worst_node = 0;
   __m512d vworst_bn = _mm512_setzero_pd();
   __m512d vworst_sum = _mm512_setzero_pd();
-  for (std::size_t i = 0; i < in.edge_count; ++i) {
-    const graph::Edge& e = in.edges[i];
+  for (std::size_t i = 0; i < edge_count; ++i) {
+    const graph::Edge& e = edges[kOrdered ? order[i] : i];
     const graph::NodeId u = e.from;
-    const std::uint32_t count = in.counts[u];
+    const std::uint32_t count = counts[u];
     if (count == 0) {
       continue;
     }
-    double transport = in.input_mb / e.attr.bandwidth_mbps;
-    if (in.include_link_delay) {
+    const double mb_bw = input_mb / e.attr.bandwidth_mbps;
+    const bool full = kept == beam;
+    if (kOrdered && full &&
+        scan_exhausted(in, mb_bw, worst_bn, worst_sum)) {
+      break;  // no narrower edge can place a candidate either
+    }
+    // An exact (key, sum) tie with the worst kept candidate still enters
+    // when this node id is lower (candidate_before).
+    const bool ties_enter = kOrdered && u < worst_node;
+    double transport = mb_bw;
+    if (link_delay) {
       transport += e.attr.min_delay_s;
     }
     const __m512d vt = _mm512_set1_pd(transport);
@@ -67,8 +103,8 @@ std::size_t avx512_cell(const CellInputs& in,
     for (std::size_t base = 0; base < count; base += 8) {
       const std::size_t lanes = count - base < 8 ? count - base : 8;
       unsigned b = lanes == 8 ? 0xFFu : (1u << lanes) - 1u;
-      if (in.visited != nullptr) {
-        const __m512i words = _mm512_loadu_si512(in.visited + row + base);
+      if (visited != nullptr) {
+        const __m512i words = _mm512_loadu_si512(visited + row + base);
         const __mmask8 hit = _mm512_test_epi64_mask(words, vbit);
         b &= static_cast<unsigned>(static_cast<std::uint8_t>(~hit));
       }
@@ -76,21 +112,23 @@ std::size_t avx512_cell(const CellInputs& in,
         continue;
       }
       const auto valid = static_cast<__mmask8>(b);
-      const __m512d bn_in = _mm512_loadu_pd(in.bottleneck + row + base);
-      const __m512d sum_in = _mm512_loadu_pd(in.sum + row + base);
+      const __m512d bn_in = _mm512_loadu_pd(bottleneck + row + base);
+      const __m512d sum_in = _mm512_loadu_pd(sums + row + base);
       const __m512d key = _mm512_max_pd(_mm512_max_pd(bn_in, vt), vcomp);
       const __m512d sm = _mm512_add_pd(_mm512_add_pd(sum_in, vt), vcomp);
       // Dead lanes go to +inf so they can never win a strict comparison
       // (a valid lane's key is finite by contract).
       const __m512d bn_m = _mm512_mask_blend_pd(valid, vinf, key);
       const __m512d sm_m = _mm512_mask_blend_pd(valid, vinf, sm);
-      if (kept == beam) {
-        // Fast reject under the full insertion criterion: if no lane
-        // beats the worst kept candidate, nothing this chunk could
-        // contribute survives insert_candidate.
-        const __mmask8 contender =
-            lane_before(bn_m, sm_m, vworst_bn, vworst_sum, tb);
-        if (contender == 0) {
+      if (full) {
+        // Fast reject under the full insertion criterion: a chunk none
+        // of whose lanes beats or ties the worst kept candidate cannot
+        // contribute.  A chunk whose best lanes only tie it contributes
+        // only when ties enter; exact ties are rare, so that second test
+        // stays off the common path.
+        if (lane_not_after(bn_m, sm_m, vworst_bn, vworst_sum, tb) == 0 ||
+            (!ties_enter &&
+             lane_before(bn_m, sm_m, vworst_bn, vworst_sum, tb) == 0)) {
           continue;
         }
       }
@@ -132,7 +170,7 @@ std::size_t avx512_cell(const CellInputs& in,
       const auto lane = static_cast<std::size_t>(
           _mm_cvtsi128_si64(_mm512_castsi512_si128(idx_r)));
       if (row_slot < 0 || cbn < row_bn ||
-          (cbn == row_bn && in.sum_tiebreak && csm < row_sum)) {
+          (cbn == row_bn && sum_tiebreak && csm < row_sum)) {
         row_bn = cbn;
         row_sum = csm;
         row_slot = static_cast<std::int32_t>(base + lane);
@@ -141,16 +179,24 @@ std::size_t avx512_cell(const CellInputs& in,
     if (row_slot < 0) {
       continue;
     }
-    kept = insert_candidate(cand, kept, beam, row_bn, row_sum,
+    kept = insert_candidate<kOrdered>(cand, kept, beam, row_bn, row_sum,
                             static_cast<std::uint32_t>(u),
                             static_cast<std::uint32_t>(row_slot),
-                            in.sum_tiebreak);
+                            sum_tiebreak);
     if (kept == beam) {
-      vworst_bn = _mm512_set1_pd(cand[beam - 1].bottleneck);
-      vworst_sum = _mm512_set1_pd(cand[beam - 1].sum);
+      worst_bn = cand[beam - 1].bottleneck;
+      worst_sum = cand[beam - 1].sum;
+      worst_node = cand[beam - 1].node;
+      vworst_bn = _mm512_set1_pd(worst_bn);
+      vworst_sum = _mm512_set1_pd(worst_sum);
     }
   }
   return kept;
+}
+
+std::size_t avx512_cell(const CellInputs& in, FrameRateArena::Candidate* cand) {
+  return in.order != nullptr ? avx512_scan<true>(in, cand)
+                             : avx512_scan<false>(in, cand);
 }
 
 }  // namespace

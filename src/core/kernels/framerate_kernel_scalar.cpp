@@ -12,18 +12,25 @@ namespace elpc::core::kernels {
 
 namespace {
 
-std::size_t scalar_cell(const CellInputs& in,
+template <bool kOrdered>
+std::size_t scalar_scan(const CellInputs& in,
                         FrameRateArena::Candidate* cand) {
   const std::size_t beam = in.beam;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < in.edge_count; ++i) {
-    const graph::Edge& e = in.edges[i];
+    const graph::Edge& e = in.edges[kOrdered ? in.order[i] : i];
     const graph::NodeId u = e.from;
     const std::uint32_t count = in.counts[u];
     if (count == 0) {
       continue;
     }
-    double transport = in.input_mb / e.attr.bandwidth_mbps;
+    const double mb_bw = in.input_mb / e.attr.bandwidth_mbps;
+    if (kOrdered && kept == beam &&
+        scan_exhausted(in, mb_bw, cand[beam - 1].bottleneck,
+                       cand[beam - 1].sum)) {
+      break;  // no narrower edge can place a candidate either
+    }
+    double transport = mb_bw;
     if (in.include_link_delay) {
       transport += e.attr.min_delay_s;
     }
@@ -40,7 +47,7 @@ std::size_t scalar_cell(const CellInputs& in,
           std::max({in.bottleneck[cell], transport, in.comp});
       const double sum = (in.sum[cell] + transport) + in.comp;
       if (!found ||
-          candidate_before(bn, sum, best_bn, best_sum, in.sum_tiebreak)) {
+          label_before(bn, sum, best_bn, best_sum, in.sum_tiebreak)) {
         found = true;
         best_bn = bn;
         best_sum = sum;
@@ -50,11 +57,17 @@ std::size_t scalar_cell(const CellInputs& in,
     if (!found) {
       continue;
     }
-    kept = insert_candidate(cand, kept, beam, best_bn, best_sum,
+    kept = insert_candidate<kOrdered>(cand, kept, beam, best_bn, best_sum,
                             static_cast<std::uint32_t>(u), best_slot,
                             in.sum_tiebreak);
   }
   return kept;
+}
+
+std::size_t scalar_cell(const CellInputs& in,
+                        FrameRateArena::Candidate* cand) {
+  return in.order != nullptr ? scalar_scan<true>(in, cand)
+                             : scalar_scan<false>(in, cand);
 }
 
 }  // namespace

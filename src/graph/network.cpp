@@ -92,6 +92,24 @@ void Network::update_link(NodeId from, NodeId to, const LinkAttr& attr) {
         in_row, in_end, from,
         [](const Edge& e, NodeId source) { return e.from < source; });
     in_pos->attr = attr;
+    // Re-place the link in its in-row's bandwidth order: find its entry,
+    // then slide it towards the row head (wider now) or tail (narrower)
+    // until both neighbours are in order — O(in-degree).
+    const auto pos = static_cast<std::uint32_t>(in_pos - in_row);
+    const Edge* row = in_csr_.data() + in_off_[to];
+    std::uint32_t* order = in_bw_order_.data() + in_off_[to];
+    const std::size_t degree = in_off_[to + 1] - in_off_[to];
+    std::size_t q = static_cast<std::size_t>(
+        std::find(order, order + degree, pos) - order);
+    while (q > 0 && bandwidth_before(row, pos, order[q - 1])) {
+      order[q] = order[q - 1];
+      --q;
+    }
+    while (q + 1 < degree && bandwidth_before(row, order[q + 1], pos)) {
+      order[q] = order[q + 1];
+      ++q;
+    }
+    order[q] = pos;
   }
   ++version_;
 }
@@ -140,6 +158,18 @@ void Network::finalize() const {
       out_csr_[out_pos++] = e;
       in_csr_[in_cursor[e.to]++] = e;
     }
+  }
+  in_bw_order_.resize(m);
+  for (NodeId v = 0; v < k; ++v) {
+    const Edge* row = in_csr_.data() + in_off_[v];
+    std::uint32_t* order = in_bw_order_.data() + in_off_[v];
+    const std::size_t degree = in_off_[v + 1] - in_off_[v];
+    for (std::size_t i = 0; i < degree; ++i) {
+      order[i] = static_cast<std::uint32_t>(i);
+    }
+    std::sort(order, order + degree, [row](std::uint32_t a, std::uint32_t b) {
+      return bandwidth_before(row, a, b);
+    });
   }
   finalized_ = true;
   ++finalize_builds_;
@@ -204,6 +234,7 @@ std::size_t Network::approx_bytes() const {
   }
   bytes += (out_csr_.capacity() + in_csr_.capacity()) * sizeof(Edge);
   bytes += (out_off_.capacity() + in_off_.capacity()) * sizeof(std::size_t);
+  bytes += in_bw_order_.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 
@@ -234,6 +265,15 @@ void Network::validate() const {
       }
       if (i > 0 && in[i - 1].from >= e.from) {
         throw std::logic_error("Network: in-adjacency not sorted/unique");
+      }
+    }
+    // The bandwidth order must be a permutation of the row, strictly
+    // increasing under bandwidth_before (which also rules out repeats).
+    const auto order = in_bandwidth_order(v);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (order[i] >= in.size() ||
+          (i > 0 && !bandwidth_before(in.data(), order[i - 1], order[i]))) {
+        throw std::logic_error("Network: in-row bandwidth order corrupt");
       }
     }
   }

@@ -15,6 +15,13 @@
 // finalize() then builds a CSR (compressed sparse row) view: one
 // contiguous Edge array per direction with per-node offset spans, rows
 // sorted by neighbor id, which is what every algorithm sweeps.
+// Beside each in row, finalize() also builds the row's bandwidth order: a
+// row-relative uint32_t permutation listing the row's edges by
+// descending bandwidth, exact ties by ascending `from` (4 bytes per
+// link).  The DPs scan in-rows in that order so they can stop at the
+// first edge whose transport term already rules it out; the rows
+// themselves keep their `from` order, which lookups and tie rules rely
+// on.
 // Adjacency queries (out_edges/in_edges/degrees/the flat views) finalize
 // lazily, so single-threaded callers never notice the phase split.  Link
 // lookups (has_link/find_link/link) use the sorted-neighbor index and do
@@ -104,10 +111,12 @@ class Network {
   /// Replaces the attributes of an existing link (a metric delta: the
   /// topology is unchanged).  Throws std::out_of_range when the link does
   /// not exist and std::invalid_argument on bad attribute values.  When
-  /// the CSR view is current it is patched in place — O(log deg), no
-  /// rebuild — so a finalized network stays finalized.  NOT safe against
-  /// concurrent readers of the same object; share-then-update callers go
-  /// through service::NetworkSession, which swaps whole snapshots.
+  /// the CSR view is current it is patched in place — O(log deg) for the
+  /// rows plus O(in-degree) to re-place the link in its in-row's
+  /// bandwidth order, no rebuild — so a finalized network stays
+  /// finalized.  NOT safe against concurrent readers of the same object;
+  /// share-then-update callers go through service::NetworkSession, which
+  /// swaps whole snapshots.
   void update_link(NodeId from, NodeId to, const LinkAttr& attr);
 
   /// Applies a batch of metric deltas via update_link — all-or-nothing:
@@ -197,6 +206,25 @@ class Network {
     ensure_finalized();
     return {out_csr_.data(), out_csr_.size()};
   }
+  /// Bandwidth order of every in row, concatenated like in_edges_flat:
+  /// entries [in_row_offsets()[v], in_row_offsets()[v + 1]) are indices
+  /// RELATIVE to row v's start, listing its edges by descending
+  /// bandwidth_mbps, exact ties by ascending `from`.  So
+  /// in_edges(v)[order[i]] for i = 0, 1, ... visits row v's links from
+  /// widest to narrowest.  Kept current by update_link; in_edges(v)
+  /// itself stays sorted by `from`.
+  [[nodiscard]] std::span<const std::uint32_t> in_bandwidth_order_flat()
+      const {
+    ensure_finalized();
+    return {in_bw_order_.data(), in_bw_order_.size()};
+  }
+  /// Row v's slice of in_bandwidth_order_flat().
+  [[nodiscard]] std::span<const std::uint32_t> in_bandwidth_order(
+      NodeId id) const {
+    check_node(id);
+    ensure_finalized();
+    return {in_bw_order_.data() + in_off_[id], in_off_[id + 1] - in_off_[id]};
+  }
   [[nodiscard]] std::span<const std::size_t> out_row_offsets() const {
     ensure_finalized();
     return {out_off_.data(), out_off_.size()};
@@ -207,9 +235,10 @@ class Network {
   [[nodiscard]] double mean_bandwidth_mbps() const;
 
   /// Approximate heap footprint in bytes (node/link storage, lookup
-  /// index, CSR views, name payloads).  Counts capacities, not sizes, so
-  /// it tracks what the allocator actually holds.  Used by the service
-  /// layer's session-cache budgets; O(nodes + links).
+  /// index, CSR views and the in-row bandwidth order, name payloads).
+  /// Counts capacities, not sizes, so it tracks what the allocator
+  /// actually holds.  Used by the service layer's session-cache budgets;
+  /// O(nodes + links).
   [[nodiscard]] std::size_t approx_bytes() const;
 
   /// Checks all invariants hold (cheap; used by tests and loaders).
@@ -233,6 +262,14 @@ class Network {
   /// Pointer into links_ for the (from, to) link, or nullptr.  Works in
   /// both phases via the sorted-neighbor index.
   [[nodiscard]] const Edge* find_edge(NodeId from, NodeId to) const;
+  /// True when row entry `a` precedes `b` in the bandwidth order (both
+  /// row-relative indices into `row`).
+  static bool bandwidth_before(const Edge* row, std::uint32_t a,
+                               std::uint32_t b) {
+    const double bw_a = row[a].attr.bandwidth_mbps;
+    const double bw_b = row[b].attr.bandwidth_mbps;
+    return bw_a > bw_b || (bw_a == bw_b && a < b);
+  }
 
   std::vector<NodeAttr> nodes_;
   std::uint64_t version_ = 0;
@@ -251,6 +288,9 @@ class Network {
   mutable std::vector<Edge> in_csr_;
   mutable std::vector<std::size_t> out_off_;
   mutable std::vector<std::size_t> in_off_;
+  /// Per in row, row-relative indices by descending bandwidth, ties by
+  /// `from` (see in_bandwidth_order_flat).
+  mutable std::vector<std::uint32_t> in_bw_order_;
   mutable bool finalized_ = false;
   mutable std::size_t finalize_builds_ = 0;
 };

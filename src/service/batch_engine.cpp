@@ -100,17 +100,28 @@ BatchEngine::BatchEngine(BatchEngineOptions options)
       "DP columns replayed from checkpoints instead of recomputed");
 }
 
-util::Histogram& BatchEngine::solve_histogram(const std::string& family,
+util::Histogram& BatchEngine::solve_histogram(SolveFamily family,
                                               const SolveResult& out) const {
-  static const char* kHelp =
-      "Latency histogram in milliseconds, labelled kernel x objective x "
-      "incremental";
-  return metrics_->histogram(
-      family, kHelp,
-      {{"kernel", out.kernel.empty() ? "none" : out.kernel},
-       {"objective",
-        out.objective == Objective::kMinDelay ? "delay" : "framerate"},
-       {"incremental", out.incremental ? "1" : "0"}});
+  const bool delay = out.objective == Objective::kMinDelay;
+  const std::size_t index = static_cast<std::size_t>(family) * 8 +
+                            (delay ? 0 : 4) + (out.kernel.empty() ? 0 : 2) +
+                            (out.incremental ? 1 : 0);
+  std::atomic<util::Histogram*>& slot = solve_histograms_[index];
+  util::Histogram* histogram = slot.load(std::memory_order_acquire);
+  if (histogram == nullptr) {
+    static const char* kHelp =
+        "Latency histogram in milliseconds, labelled kernel x objective x "
+        "incremental";
+    histogram = &metrics_->histogram(
+        family == SolveFamily::kSolveMs ? "elpc_solve_ms"
+                                        : "elpc_resolve_staleness_ms",
+        kHelp,
+        {{"kernel", out.kernel.empty() ? "none" : out.kernel},
+         {"objective", delay ? "delay" : "framerate"},
+         {"incremental", out.incremental ? "1" : "0"}});
+    slot.store(histogram, std::memory_order_release);
+  }
+  return *histogram;
 }
 
 NetworkSession& BatchEngine::register_network(std::string id,
@@ -627,9 +638,9 @@ void BatchEngine::solve_one(
   out.columns_reused = inc_stats.columns_reused;
   out.dp_columns = dp_columns;
   if (out.error.empty()) {
-    solve_histogram("elpc_solve_ms", out).record(out.mean_runtime_ms);
+    solve_histogram(SolveFamily::kSolveMs, out).record(out.mean_runtime_ms);
     if (staleness_epoch != nullptr) {
-      solve_histogram("elpc_resolve_staleness_ms", out)
+      solve_histogram(SolveFamily::kResolveStalenessMs, out)
           .record(std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - *staleness_epoch)
                       .count());

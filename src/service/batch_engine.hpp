@@ -440,9 +440,17 @@ class BatchEngine {
                  const CancelFn& cancelled,
                  const std::chrono::steady_clock::time_point* staleness_epoch,
                  SolveResult& out);
+  /// The per-solve latency histogram families.
+  enum class SolveFamily : std::size_t {
+    kSolveMs = 0,             ///< elpc_solve_ms
+    kResolveStalenessMs = 1,  ///< elpc_resolve_staleness_ms
+  };
   /// Histogram child for one solve's label set (kernel × objective ×
-  /// incremental); `family` is e.g. "elpc_solve_ms".
-  [[nodiscard]] util::Histogram& solve_histogram(const std::string& family,
+  /// incremental).  Each child is resolved through the registry (mutex,
+  /// label strings, map lookup) on its first solve only, then served
+  /// from solve_histograms_ — so no series appears before a solve
+  /// records into it.
+  [[nodiscard]] util::Histogram& solve_histogram(SolveFamily family,
                                                  const SolveResult& out) const;
   /// Fuses the caller's signal with per-job engine-side deadlines
   /// (measured from now) into one CancelFn; returns `user` unchanged
@@ -474,6 +482,11 @@ class BatchEngine {
   util::Counter* incremental_hits_ = nullptr;
   util::Counter* incremental_misses_ = nullptr;
   util::Counter* incremental_columns_reused_ = nullptr;
+  /// solve_histogram's resolved children, indexed by family × objective
+  /// × kernel-served × incremental.  The kernel label needs no index of
+  /// its own: every solve that reports one reports kernel_.  Null until
+  /// first use; racing resolvers store the same registry pointer.
+  mutable std::array<std::atomic<util::Histogram*>, 16> solve_histograms_{};
   mutable std::mutex mutex_;  // guards sessions_ and subscriptions_
   std::map<std::string, std::unique_ptr<NetworkSession>> sessions_;
   std::vector<Subscription> subscriptions_;

@@ -212,7 +212,26 @@ class Parser {
     }
   }
 
+  /// Counts one array/object level in and out of the recursion; throws
+  /// past Json::kMaxParseDepth, before the next level's frame is pushed.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > Json::kMaxParseDepth) {
+        parser_.fail("nesting deeper than " +
+                     std::to_string(Json::kMaxParseDepth) + " levels");
+      }
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Json parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonObject obj;
     skip_ws();
@@ -240,6 +259,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonArray arr;
     skip_ws();
@@ -344,6 +364,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the cursor
 };
 
 }  // namespace

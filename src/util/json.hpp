@@ -74,7 +74,14 @@ class Json {
   /// With `indent > 0`, pretty-prints using that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Parses a complete JSON document; trailing non-whitespace is an error.
+  /// Deepest array/object nesting parse() accepts.  The parser recurses
+  /// once per level, so the bound keeps hostile input (the daemon parses
+  /// every request line before authenticating it) from exhausting a
+  /// thread's stack; no document the library reads nests beyond ~5.
+  static constexpr int kMaxParseDepth = 128;
+
+  /// Parses a complete JSON document; trailing non-whitespace is an
+  /// error, and so is nesting deeper than kMaxParseDepth (JsonError).
   [[nodiscard]] static Json parse(const std::string& text);
 
   friend bool operator==(const Json& a, const Json& b) {

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -247,6 +248,170 @@ TEST(KernelParity, VisitedPlaneSelectsPerSlotWords) {
   std::vector<FrameRateArena::Candidate> cand(3);
   ASSERT_EQ(scalar_cell_kernel()(cell.finish(), cand.data()), 1u);
   EXPECT_EQ(cand[0].slot, 1u);
+}
+
+/// Row-relative scan order as Network::in_bandwidth_order defines it:
+/// descending bandwidth, exact ties by ascending `from`.
+std::vector<std::uint32_t> bandwidth_order(
+    const std::vector<graph::Edge>& edges) {
+  std::vector<std::uint32_t> order(edges.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(),
+            [&edges](std::uint32_t a, std::uint32_t b) {
+              const double bw_a = edges[a].attr.bandwidth_mbps;
+              const double bw_b = edges[b].attr.bandwidth_mbps;
+              return bw_a > bw_b ||
+                     (bw_a == bw_b && edges[a].from < edges[b].from);
+            });
+  return order;
+}
+
+TEST(KernelParity, OrderedScanWithExitMatchesFullFromOrderedScan) {
+  // Tie-heavy cells with proper CSR in-rows (distinct sources, sorted by
+  // `from`): every kernel scanning in bandwidth order, exiting early,
+  // must keep exactly what the scalar kernel keeps scanning the row in
+  // `from` order, in full.  Discrete bandwidths make equal-width edges
+  // common; discrete labels, transports and computing times make exact
+  // (key, sum) ties with the worst kept candidate common — the cases the
+  // exit bound and the node-id tie order must get right.
+  const double labels[] = {0.0, 0.25, 0.5, 0.5, 1.0, 2.0, 4.0};
+  const double bandwidths[] = {0.5, 1.0, 1.0, 2.0, 4.0, 8.0};
+  const double delays[] = {0.0, 0.0, 0.25, 0.5};
+  const CellKernelFn reference = scalar_cell_kernel();
+  util::Rng rng(20261019);
+  std::size_t exits_possible = 0;
+  std::size_t cases = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    for (const std::size_t beam : {1u, 4u, 9u}) {
+      const auto nodes = static_cast<std::size_t>(rng.uniform_int(2, 48));
+      Cell cell(nodes, beam);
+      cell.inputs.bit = std::uint64_t{1}
+                        << static_cast<unsigned>(rng.uniform_int(0, 63));
+      cell.inputs.input_mb = labels[rng.uniform_int(1, 6)];
+      cell.inputs.comp = labels[rng.uniform_int(0, 6)];
+      for (std::size_t u = 0; u < nodes; ++u) {
+        const auto count = static_cast<std::uint32_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(beam)));
+        cell.counts[u] = count;
+        for (std::uint32_t s = 0; s < count; ++s) {
+          const std::size_t slot = u * beam + s;
+          cell.bottleneck[slot] = labels[rng.uniform_int(0, 6)];
+          cell.sum[slot] =
+              cell.bottleneck[slot] + labels[rng.uniform_int(0, 3)];
+          if (rng.uniform_int(0, 9) < 3) {
+            cell.words[slot] |= cell.inputs.bit;
+          }
+        }
+        // About two thirds of the nodes link into the cell.
+        if (rng.uniform_int(0, 2) != 0) {
+          graph::Edge e;
+          e.from = static_cast<graph::NodeId>(u);
+          e.to = nodes;
+          e.attr.bandwidth_mbps = bandwidths[rng.uniform_int(0, 5)];
+          e.attr.min_delay_s = delays[rng.uniform_int(0, 3)];
+          cell.edges.push_back(e);
+        }
+      }
+      const std::vector<std::uint32_t> order = bandwidth_order(cell.edges);
+      // Label floors as the DP passes them (the column's minima), or the
+      // always-valid 0 when `floored` is off.
+      double min_bn = 1e300;
+      double min_sum = 1e300;
+      for (std::size_t u = 0; u < nodes; ++u) {
+        for (std::uint32_t s = 0; s < cell.counts[u]; ++s) {
+          min_bn = std::min(min_bn, cell.bottleneck[u * beam + s]);
+          min_sum = std::min(min_sum, cell.sum[u * beam + s]);
+        }
+      }
+      const bool floored = iter % 2 == 0;
+      cell.inputs.min_bottleneck = floored ? min_bn : 0.0;
+      cell.inputs.min_sum = floored ? min_sum : 0.0;
+      std::vector<FrameRateArena::Candidate> expected(beam);
+      std::vector<FrameRateArena::Candidate> got(beam);
+      for (const bool delay : {false, true}) {
+        for (const bool tiebreak : {false, true}) {
+          for (const bool check : {false, true}) {
+            cell.inputs.include_link_delay = delay;
+            cell.inputs.sum_tiebreak = tiebreak;
+            CellInputs full = cell.finish();
+            if (!check) {
+              full.visited = nullptr;
+            }
+            const std::size_t kept_ref = reference(full, expected.data());
+            ++cases;
+            // Would an ordered scan have stopped before the last edge?
+            if (kept_ref == beam && !order.empty()) {
+              const graph::Edge& last = cell.edges[order.back()];
+              if (scan_exhausted(full, full.input_mb / last.attr.bandwidth_mbps,
+                                 expected[beam - 1].bottleneck,
+                                 expected[beam - 1].sum)) {
+                ++exits_possible;
+              }
+            }
+            CellInputs ordered = full;
+            ordered.order = order.data();
+            for (const Kind kind : available_kernels()) {
+              const std::size_t kept_got =
+                  kernel_fn(kind)(ordered, got.data());
+              ASSERT_EQ(kept_got, kept_ref)
+                  << "kernel=" << kind_name(kind) << " iter=" << iter
+                  << " beam=" << beam << " delay=" << delay
+                  << " tiebreak=" << tiebreak << " check=" << check;
+              for (std::size_t c = 0; c < kept_ref; ++c) {
+                ASSERT_EQ(got[c].bottleneck, expected[c].bottleneck)
+                    << "kernel=" << kind_name(kind) << " iter=" << iter;
+                ASSERT_EQ(got[c].sum, expected[c].sum)
+                    << "kernel=" << kind_name(kind) << " iter=" << iter;
+                ASSERT_EQ(got[c].node, expected[c].node)
+                    << "kernel=" << kind_name(kind) << " iter=" << iter;
+                ASSERT_EQ(got[c].slot, expected[c].slot)
+                    << "kernel=" << kind_name(kind) << " iter=" << iter;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The suite must actually exercise the exit, not pass vacuously.
+  EXPECT_GT(exits_possible, cases / 10);
+}
+
+TEST(KernelParity, ExactTieWithWorstEntersByLowerNodeId) {
+  // Beam 2 over three equal candidates: under the node-id tie order the
+  // two LOWEST sources survive, whichever order the edges are scanned
+  // in.  Scanning widest first meets node 2 before nodes 0 and 1, so a
+  // vector fast reject that dropped exact ties would keep node 2.
+  for (const Kind kind : available_kernels()) {
+    for (const bool tiebreak : {false, true}) {
+      Cell cell(3, 2);
+      cell.inputs.input_mb = 1.0;
+      cell.inputs.comp = 4.0;  // every key is 4, every sum (s + t) + 4 = 5
+      cell.inputs.sum_tiebreak = tiebreak;
+      const double widths[] = {1.0, 1.0, 2.0};
+      for (std::size_t u = 0; u < 3; ++u) {
+        cell.counts[u] = 1;
+        cell.bottleneck[u * 2] = 0.0;
+        cell.sum[u * 2] = u == 2 ? 0.5 : 0.0;  // equal sums: 4 + 1
+        graph::Edge e;
+        e.from = static_cast<graph::NodeId>(u);
+        e.to = 3;
+        e.attr.bandwidth_mbps = widths[u];
+        cell.edges.push_back(e);
+      }
+      const std::vector<std::uint32_t> order = bandwidth_order(cell.edges);
+      ASSERT_EQ(order.front(), 2u);
+      CellInputs inputs = cell.finish();
+      inputs.order = order.data();
+      std::vector<FrameRateArena::Candidate> cand(2);
+      ASSERT_EQ(kernel_fn(kind)(inputs, cand.data()), 2u) << kind_name(kind);
+      EXPECT_EQ(cand[0].node, 0u) << kind_name(kind);
+      EXPECT_EQ(cand[1].node, 1u) << kind_name(kind);
+      EXPECT_EQ(cand[0].sum, 5.0) << kind_name(kind);
+    }
+  }
 }
 
 TEST(KernelParity, DispatchNamesRoundTripAndValidate) {

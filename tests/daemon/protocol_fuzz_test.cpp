@@ -133,6 +133,39 @@ TEST(SocketServer, SurvivesMalformedAndHostileFrames) {
   serve_thread.join();
 }
 
+TEST(SocketServer, DeeplyNestedLineAnswersMalformedAndKeepsServing) {
+  // The request parser runs before the auth gate, so any peer reaches
+  // it: 50 000 nested arrays (~50 KB, far under the frame cap) must get
+  // the ordinary malformed-request answer, not recurse off an IO
+  // worker's stack.
+  SocketServer server(socket_path("nested"), SocketServerOptions{});
+  std::thread serve_thread([&server]() { server.serve(); });
+  {
+    util::UnixSocket hostile = util::UnixSocket::connect(server.socket_path());
+    hostile.send_line(std::string(50000, '['));
+    const std::optional<std::string> answer = hostile.recv_line();
+    ASSERT_TRUE(answer.has_value());
+    const util::Json reply = util::Json::parse(*answer);
+    EXPECT_FALSE(reply.at("ok").as_bool());
+    const std::string error = reply.at("error").as_string();
+    EXPECT_EQ(error.rfind("malformed request: ", 0), 0u) << error;
+    EXPECT_NE(error.find("nesting deeper than 128"), std::string::npos)
+        << error;
+    // Same connection, next request: still served.
+    hostile.send_line(R"({"verb": "poll", "ticket": 99})");
+    const std::optional<std::string> next = hostile.recv_line();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_FALSE(util::Json::parse(*next).at("ok").as_bool());
+  }
+  DaemonClient client(server.socket_path());
+  client.register_network("net", make_network(4));
+  const Ticket ticket = client.submit(make_job("after-nesting", 121));
+  EXPECT_EQ(client.wait(ticket).at("state").as_string(), "done");
+
+  client.shutdown_server();
+  serve_thread.join();
+}
+
 TEST(DaemonClient, RetriesReconnectAfterTransientConnectionLoss) {
   util::UnixListener listener(socket_path("retry"));
   std::thread flaky_server([&listener]() {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace elpc::graph {
 namespace {
 
@@ -225,6 +231,128 @@ TEST(Network, LookupWorksInBothPhases) {
   EXPECT_TRUE(net.has_link(0, 1));
   EXPECT_FALSE(net.has_link(1, 0));
   EXPECT_DOUBLE_EQ(net.find_link(0, 1)->bandwidth_mbps, 123.0);
+}
+
+/// Row v's bandwidth order, checked from first principles: a
+/// permutation of the row's indices, by descending bandwidth, exact ties
+/// by ascending `from`.
+void expect_bandwidth_order(const Network& net, const char* context) {
+  for (NodeId v = 0; v < net.node_count(); ++v) {
+    const auto row = net.in_edges(v);
+    const auto order = net.in_bandwidth_order(v);
+    ASSERT_EQ(order.size(), row.size()) << context << " row " << v;
+    std::vector<std::uint32_t> sorted(order.begin(), order.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      ASSERT_EQ(sorted[i], i) << context << " row " << v;
+    }
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const Edge& a = row[order[i - 1]];
+      const Edge& b = row[order[i]];
+      const bool before =
+          a.attr.bandwidth_mbps > b.attr.bandwidth_mbps ||
+          (a.attr.bandwidth_mbps == b.attr.bandwidth_mbps && a.from < b.from);
+      ASSERT_TRUE(before) << context << " row " << v << " position " << i;
+    }
+    // The flat view is the per-row slices concatenated.
+    const auto flat = net.in_bandwidth_order_flat();
+    const auto off = net.in_row_offsets();
+    ASSERT_TRUE(std::equal(order.begin(), order.end(), flat.begin() + off[v]))
+        << context << " row " << v;
+  }
+  EXPECT_NO_THROW(net.validate()) << context;
+}
+
+TEST(Network, InRowBandwidthOrderSortsWidestFirstTiesByFrom) {
+  Network net;
+  for (int i = 0; i < 5; ++i) {
+    net.add_node({});
+  }
+  net.add_link(0, 4, {10.0, 0.0});
+  net.add_link(1, 4, {40.0, 0.0});
+  net.add_link(2, 4, {10.0, 0.0});
+  net.add_link(3, 4, {40.0, 0.0});
+  // in_edges(4) is by `from`: 0, 1, 2, 3.  Widest first, ties by from.
+  const auto order = net.in_bandwidth_order(4);
+  EXPECT_EQ(std::vector<std::uint32_t>(order.begin(), order.end()),
+            (std::vector<std::uint32_t>{1, 3, 0, 2}));
+  EXPECT_EQ(net.in_edges(4)[order[0]].from, 1u);
+  EXPECT_TRUE(net.in_bandwidth_order(0).empty());
+
+  // A metric delta re-places only the changed link, without a rebuild.
+  const std::size_t builds = net.finalize_build_count();
+  net.update_link(2, 4, {50.0, 0.0});
+  EXPECT_EQ(std::vector<std::uint32_t>(net.in_bandwidth_order(4).begin(),
+                                       net.in_bandwidth_order(4).end()),
+            (std::vector<std::uint32_t>{2, 1, 3, 0}));
+  net.update_link(1, 4, {5.0, 0.0});
+  EXPECT_EQ(std::vector<std::uint32_t>(net.in_bandwidth_order(4).begin(),
+                                       net.in_bandwidth_order(4).end()),
+            (std::vector<std::uint32_t>{2, 3, 0, 1}));
+  EXPECT_EQ(net.finalize_build_count(), builds);
+  expect_bandwidth_order(net, "after updates");
+}
+
+TEST(Network, InRowBandwidthOrderSurvivesUpdateSequencesAndCopies) {
+  // Few distinct bandwidths, so most moves cross or land on exact ties.
+  const double bandwidths[] = {1.0, 2.0, 2.0, 4.0, 8.0};
+  util::Rng rng(20261019);
+  Network net;
+  const std::size_t k = 24;
+  for (std::size_t i = 0; i < k; ++i) {
+    net.add_node({});
+  }
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (NodeId u = 0; u < k; ++u) {
+    for (NodeId v = 0; v < k; ++v) {
+      if (u != v && rng.uniform_int(0, 2) != 0) {
+        net.add_link(u, v, {bandwidths[rng.uniform_int(0, 4)], 0.0});
+        links.emplace_back(u, v);
+      }
+    }
+  }
+  expect_bandwidth_order(net, "built");
+  const std::size_t bytes = net.approx_bytes();
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 25; ++i) {
+      const auto [u, v] = links[rng.index(links.size())];
+      net.update_link(u, v, {bandwidths[rng.uniform_int(0, 4)], 0.001});
+    }
+    expect_bandwidth_order(net, "updated");
+    // A copy carries the order and keeps it current under its own
+    // updates, independent of the original.
+    Network copy = net;
+    const auto [u, v] = links[rng.index(links.size())];
+    copy.update_link(u, v, {16.0, 0.0});
+    expect_bandwidth_order(copy, "copy");
+    EXPECT_EQ(copy.in_edges(v)[copy.in_bandwidth_order(v)[0]].from, u);
+    expect_bandwidth_order(net, "original after copy update");
+  }
+  EXPECT_EQ(net.finalize_build_count(), 1u);
+  EXPECT_EQ(net.approx_bytes(), bytes);
+}
+
+TEST(Network, ApproxBytesCountsTheBandwidthOrder) {
+  util::Rng rng(7);
+  Network net;
+  for (int i = 0; i < 10; ++i) {
+    net.add_node({});
+  }
+  for (NodeId u = 0; u < 10; ++u) {
+    for (NodeId v = 0; v < 10; ++v) {
+      if (u != v) {
+        net.add_link(u, v, {static_cast<double>(rng.uniform_int(1, 9)), 0.0});
+      }
+    }
+  }
+  const std::size_t unbuilt = net.approx_bytes();
+  net.finalize();
+  // finalize() adds exactly the two CSR copies, the two offset arrays and
+  // one 4-byte order entry per link.
+  const std::size_t links = net.link_count();
+  EXPECT_EQ(net.approx_bytes() - unbuilt,
+            2 * links * sizeof(Edge) + 2 * 11 * sizeof(std::size_t) +
+                links * sizeof(std::uint32_t));
 }
 
 }  // namespace

@@ -100,6 +100,34 @@ TEST(JsonDump, CanonicalCompactForm) {
   EXPECT_EQ(obj.dump(), "{\"a\":1,\"b\":2}");
 }
 
+TEST(JsonParse, NestingIsBoundedAtMaxParseDepth) {
+  const auto arrays = [](int depth) {
+    const auto n = static_cast<std::size_t>(depth);
+    return std::string(n, '[') + "0" + std::string(n, ']');
+  };
+  // Exactly at the bound parses and one level deeper throws, for arrays
+  // and for objects; so does a 50 000-deep unterminated line.
+  EXPECT_NO_THROW((void)Json::parse(arrays(Json::kMaxParseDepth)));
+  EXPECT_THROW((void)Json::parse(arrays(Json::kMaxParseDepth + 1)),
+               JsonError);
+  std::string objects;
+  for (int i = 0; i < Json::kMaxParseDepth; ++i) {
+    objects += R"({"k":)";
+  }
+  objects += "1";
+  objects += std::string(static_cast<std::size_t>(Json::kMaxParseDepth), '}');
+  EXPECT_NO_THROW((void)Json::parse(objects));
+  EXPECT_THROW((void)Json::parse(R"({"k":)" + objects + "}"), JsonError);
+  EXPECT_THROW((void)Json::parse(std::string(50000, '[')), JsonError);
+  // Depth is nesting, not count: many shallow siblings are fine.
+  std::string wide = "[";
+  for (int i = 0; i < 1000; ++i) {
+    wide += i == 0 ? "[[1]]" : ",[[1]]";
+  }
+  wide += "]";
+  EXPECT_EQ(Json::parse(wide).as_array().size(), 1000u);
+}
+
 TEST(JsonDump, PrettyPrintIndents) {
   Json obj;
   obj.set("a", Json(JsonArray{Json(1), Json(2)}));
