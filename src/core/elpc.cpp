@@ -233,69 +233,82 @@ MapResult ElpcMapper::min_delay(const Problem& problem) const {
           }
         }
       }
-      const auto sweep_cell = [&](NodeId v) {
+      // The plain `from`-ordered gather, where the strict comparison alone
+      // keeps grouping, then the lowest id, on ties.
+      const auto gather_cell = [&](NodeId v) {
         const double comp = comp_col[v];
         // Sub-case (i): module j joins module j-1's node (grouping).
         double best = prev[v] == kInf ? kInf : prev[v] + comp;
         NodeId best_parent = v;
         // Sub-case (ii): module j-1 ran on an in-neighbour u of v.
-        const Edge* const row = in_edges + in_off[v];
-        const std::size_t degree = in_off[v + 1] - in_off[v];
-        if (!ordered || degree < kOrderedScanMinDegree) {
-          // Short row: the plain `from`-ordered scan, where the strict
-          // comparison alone keeps grouping, then the lowest id, on ties.
-          for (std::size_t i = 0; i < degree; ++i) {
-            const Edge& e = row[i];
-            if (prev[e.from] == kInf) {
-              continue;
-            }
-            const double cand =
-                prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
-            if (cand < best) {
-              best = cand;
-              best_parent = e.from;
-            }
+        for (std::size_t i = in_off[v]; i < in_off[v + 1]; ++i) {
+          const Edge& e = in_edges[i];
+          if (prev[e.from] == kInf) {
+            continue;
           }
-        } else {
-          // The incumbent's tie rank: 0 for grouping, from + 1 for an
-          // edge, so one branch-free test applies the tie order (an
-          // unreachable predecessor's candidate is +inf and never wins).
-          NodeId rank = 0;
-          if (seed[v] < best) {
-            best = seed[v];
-            rank = u_min + 1;
+          const double cand =
+              prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
+          if (cand < best) {
+            best = cand;
+            best_parent = e.from;
           }
-          const std::uint32_t* const order = in_order + in_off[v];
-          for (std::size_t i = 0; i < degree; ++i) {
-            const Edge& e = row[order[i]];
-            const double mb_bw = input_mb / e.attr.bandwidth_mbps;
-            if ((min_prev + mb_bw) + comp > best) {
-              break;
-            }
-            const double cand =
-                prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
-            const bool take =
-                (cand < best) | ((cand == best) & (e.from + 1 < rank));
-            best = take ? cand : best;
-            rank = take ? e.from + 1 : rank;
-          }
-          best_parent = rank == 0 ? v : rank - 1;
         }
         cur[v] = best;
         parent[j * k + v] = best_parent;
       };
-      if (pool != nullptr) {
-        pool->parallel_for(chunks, [&](std::size_t c) {
-          const NodeId lo = static_cast<NodeId>(c * k / chunks);
-          const NodeId hi = static_cast<NodeId>((c + 1) * k / chunks);
-          for (NodeId v = lo; v < hi; ++v) {
+      const auto ordered_cell = [&](NodeId v) {
+        const std::size_t degree = in_off[v + 1] - in_off[v];
+        if (degree < kOrderedScanMinDegree) {
+          gather_cell(v);
+          return;
+        }
+        const double comp = comp_col[v];
+        double best = prev[v] == kInf ? kInf : prev[v] + comp;
+        // The incumbent's tie rank: 0 for grouping, from + 1 for an
+        // edge, so one branch-free test applies the tie order (an
+        // unreachable predecessor's candidate is +inf and never wins).
+        NodeId rank = 0;
+        if (seed[v] < best) {
+          best = seed[v];
+          rank = u_min + 1;
+        }
+        const Edge* const row = in_edges + in_off[v];
+        const std::uint32_t* const order = in_order + in_off[v];
+        for (std::size_t i = 0; i < degree; ++i) {
+          const Edge& e = row[order[i]];
+          const double mb_bw = input_mb / e.attr.bandwidth_mbps;
+          if ((min_prev + mb_bw) + comp > best) {
+            break;
+          }
+          const double cand =
+              prev[e.from] + model.transport_time(input_mb, e.attr) + comp;
+          const bool take =
+              (cand < best) | ((cand == best) & (e.from + 1 < rank));
+          best = take ? cand : best;
+          rank = take ? e.from + 1 : rank;
+        }
+        cur[v] = best;
+        parent[j * k + v] = rank == 0 ? v : rank - 1;
+      };
+      const auto sweep = [&](const auto& sweep_cell) {
+        if (pool != nullptr) {
+          pool->parallel_for(chunks, [&](std::size_t c) {
+            const NodeId lo = static_cast<NodeId>(c * k / chunks);
+            const NodeId hi = static_cast<NodeId>((c + 1) * k / chunks);
+            for (NodeId v = lo; v < hi; ++v) {
+              sweep_cell(v);
+            }
+          });
+        } else {
+          for (NodeId v = 0; v < k; ++v) {
             sweep_cell(v);
           }
-        });
-      } else {
-        for (NodeId v = 0; v < k; ++v) {
-          sweep_cell(v);
         }
+      };
+      if (ordered) {
+        sweep(ordered_cell);
+      } else {
+        sweep(gather_cell);
       }
     }
     std::swap(prev, cur);
@@ -316,6 +329,32 @@ namespace {
 
 using Candidate = FrameRateArena::Candidate;
 using ParentRec = FrameRateArena::ParentRec;
+
+/// Lower bounds on the bottleneck and the sum of every live label.
+struct LabelFloor {
+  double bottleneck = 0.0;
+  double sum = 0.0;
+};
+
+/// The floor of column `parity`'s live labels.  Slot 0 holds a cell's
+/// smallest bottleneck (candidates are sorted by it); sums are unsorted,
+/// so every live slot counts, branch-free over the fixed beam.
+LabelFloor label_floor(FrameRateArena& arena, int parity, std::size_t k,
+                       std::size_t beam) {
+  const double* bn = arena.bottleneck(parity);
+  const double* sm = arena.sum(parity);
+  const std::uint32_t* counts = arena.counts(parity);
+  LabelFloor result{kInf, kInf};
+  for (NodeId u = 0; u < k; ++u) {
+    const std::uint32_t count = counts[u];
+    result.bottleneck =
+        std::min(result.bottleneck, count > 0 ? bn[u * beam] : kInf);
+    for (std::size_t s = 0; s < beam; ++s) {
+      result.sum = std::min(result.sum, s < count ? sm[u * beam + s] : kInf);
+    }
+  }
+  return result;
+}
 
 /// Bottleneck-targeted 1-swap local search on a one-to-one mapping.
 /// Repeatedly replaces one interior path node with an unused node (both
@@ -636,32 +675,10 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
   // distinct predecessors — the diversity rule of the beam (identical-
   // parent survivors have highly correlated visited sets and add little).
   // Ordered scans (kOrderedScanMinDegree) read the floor of the previous
-  // column's live labels (CellInputs::min_*), which set_label_floor
-  // refreshes before each column's cells run.  Slot 0 holds a cell's
-  // smallest bottleneck (candidates are sorted by it); sums are unsorted,
-  // so every live slot counts, branch-free over the fixed beam.
+  // column's live labels (CellInputs::min_*), refreshed before each
+  // column's cells run.
   const bool ordered = ordered_scans_pay(net);
-  double floor_bn = 0.0;
-  double floor_sum = 0.0;
-  const auto set_label_floor = [&](int p) {
-    if (!ordered) {
-      return;
-    }
-    const double* bn = arena.bottleneck(p);
-    const double* sm = arena.sum(p);
-    const std::uint32_t* counts = arena.counts(p);
-    double min_bn = kInf;
-    double min_sum = kInf;
-    for (NodeId u = 0; u < k; ++u) {
-      const std::uint32_t count = counts[u];
-      min_bn = std::min(min_bn, count > 0 ? bn[u * beam] : kInf);
-      for (std::size_t s = 0; s < beam; ++s) {
-        min_sum = std::min(min_sum, s < count ? sm[u * beam + s] : kInf);
-      }
-    }
-    floor_bn = min_bn;
-    floor_sum = min_sum;
-  };
+  LabelFloor label_min;
 
   const auto sweep_cell = [&](std::size_t j, NodeId v, double input_mb,
                               Candidate* cand) {
@@ -700,8 +717,8 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
     inputs.bit = std::uint64_t{1} << (v & 63);
     inputs.input_mb = input_mb;
     inputs.comp = model.computing_time(j, v);
-    inputs.min_bottleneck = floor_bn;
-    inputs.min_sum = floor_sum;
+    inputs.min_bottleneck = label_min.bottleneck;
+    inputs.min_sum = label_min.sum;
     inputs.include_link_delay = model.options().include_link_delay;
     inputs.sum_tiebreak = options_.framerate_sum_tiebreak;
     const std::size_t kept = cell_kernel(inputs, cand);
@@ -820,7 +837,9 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       check_abort(options_);
       columns_phase.tick(j);
       arena.clear_column(cur_p);
-      set_label_floor(prev_p);
+      if (ordered) {
+        label_min = label_floor(arena, prev_p, k, beam);
+      }
       const double input_mb = problem.pipeline->input_mb(j);
       if (pool != nullptr && j + 1 < n) {
         pool->parallel_for(chunks, [&](std::size_t c) {
@@ -901,8 +920,8 @@ MapResult ElpcMapper::max_frame_rate(const Problem& problem) const {
       const double input_mb = problem.pipeline->input_mb(j);
       Candidate* cand = arena.scratch(0);
       next_changed.clear();
-      if (!dirty_list.empty()) {
-        set_label_floor(prev_p);
+      if (ordered && !dirty_list.empty()) {
+        label_min = label_floor(arena, prev_p, k, beam);
       }
       const util::ProfileScope dirty_phase("dirty_recompute", "dp",
                                            dirty_list.size());

@@ -42,10 +42,11 @@
 //       smallest (key_s, sum_s) when sum_tiebreak, else the smallest
 //       key_s; the LOWEST slot on an exact tie (label_before);
 //     insert the row winner into the candidate array via
-//       insert_candidate below (bounded, sorted best-first; on an exact
-//       tie the LOWER node id ranks first in an ordered scan —
-//       candidate_before — and the earlier-scanned one otherwise, which
-//       on a CSR row sorted by `from` is the same order).
+//       insert_candidate below (bounded, sorted best-first by
+//       candidate_before: on an exact (key, sum) tie the LOWER node id
+//       ranks first — on a CSR row sorted by `from` that is also the
+//       earlier-scanned one, so a stored-order scan keeps what it always
+//       kept).
 //
 // Why the exit is exact: min_delay_s >= 0, every label is at least
 // (min_bottleneck, min_sum), and IEEE rounding is monotone, so every
@@ -66,7 +67,8 @@
 // in (key, sum) than the current worst kept candidate once the candidate
 // array is full — the insertion would provably reject it — but must pass
 // an exact tie through to insert_candidate whenever u is below the worst
-// candidate's node id, since the node-id tie order admits it.
+// candidate's node id, since the node-id tie order admits it.  (A
+// stored-order scan of a row sorted by `from` never meets such a tie.)
 //
 // Over-read allowance: to keep the vector paths free of bounds branches
 // and masked loads, the label arrays (`bottleneck`, `sum`) and the
@@ -132,10 +134,9 @@ inline bool label_before(double bn_a, double sum_a, double bn_b,
   return sum_tiebreak && sum_a < sum_b;
 }
 
-/// Candidate order of an ordered scan: label_before, then the lower
-/// node id on an exact tie.  A total order on one cell's candidates
-/// (each node offers at most one), so the kept set does not depend on
-/// the scan order.
+/// Candidate order: label_before, then the lower node id on an exact
+/// tie.  A total order on one cell's candidates (each node offers at
+/// most one), so the kept set does not depend on the scan order.
 inline bool candidate_before(double bn_a, double sum_a, std::uint32_t node_a,
                              double bn_b, double sum_b, std::uint32_t node_b,
                              bool sum_tiebreak) {
@@ -162,24 +163,18 @@ inline bool scan_exhausted(const CellInputs& in, double mb_bw,
   return in.sum_tiebreak && (in.min_sum + mb_bw) + in.comp > worst_sum;
 }
 
-/// Bounded insertion keeping cand[0..kept) sorted best-first; the
-/// single definition all variants share, so insertion order cannot
-/// diverge between them.  Ordered scans (kNodeTies) rank exact ties by
-/// node id (candidate_before); a scan in stored order keeps the earlier
-/// candidate on an exact tie (label_before), which on a CSR row — sorted
-/// by `from` — is the same lower-node-id order without the extra compare.
-/// Returns the new kept count.
-template <bool kNodeTies>
+/// Bounded insertion keeping cand[0..kept) sorted best-first by
+/// candidate_before; the single definition all variants share, so
+/// insertion order cannot diverge between them.  Returns the new kept
+/// count.
 inline std::size_t insert_candidate(FrameRateArena::Candidate* cand,
                                     std::size_t kept, std::size_t beam,
                                     double bn, double sum,
                                     std::uint32_t node, std::uint32_t slot,
                                     bool sum_tiebreak) {
   const auto before = [&](const FrameRateArena::Candidate& c) {
-    return kNodeTies ? candidate_before(bn, sum, node, c.bottleneck, c.sum,
-                                        c.node, sum_tiebreak)
-                     : label_before(bn, sum, c.bottleneck, c.sum,
-                                    sum_tiebreak);
+    return candidate_before(bn, sum, node, c.bottleneck, c.sum, c.node,
+                            sum_tiebreak);
   };
   std::size_t pos;
   if (kept < beam) {

@@ -20,8 +20,8 @@
 // word-major visited plane making the check a single contiguous load);
 // and once the candidate array is full, a chunk in which no lane beats
 // the worst kept candidate under the full (key, sum) criterion — or ties
-// it exactly, while ties can still enter an ordered scan — is dropped
-// before the tournament — the contract's explicit allowance,
+// it exactly, when the edge's node id is below the worst one's — is
+// dropped before the tournament — the contract's explicit allowance,
 // since the insertion would provably reject anything the chunk could
 // produce.  The worst-candidate test must include the sum: bottleneck
 // keys tie constantly in this DP, and a key-only (strict) test was
@@ -75,27 +75,14 @@ inline __m256d lane_not_after(__m256d bn_a, __m256d sm_a, __m256d bn_b,
 template <bool kOrdered>
 std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Inputs hoisted into locals: stores through `cand` could otherwise
-  // alias them and force a reload on every edge.
-  const graph::Edge* const edges = in.edges;
-  const std::uint32_t* const order = in.order;
-  const std::size_t edge_count = in.edge_count;
-  const std::uint32_t* const counts = in.counts;
-  const double* const bottleneck = in.bottleneck;
-  const double* const sums = in.sum;
-  const std::uint64_t* const visited = in.visited;
   const std::size_t beam = in.beam;
-  const double input_mb = in.input_mb;
-  const double comp = in.comp;
-  const bool link_delay = in.include_link_delay;
-  const bool sum_tiebreak = in.sum_tiebreak;
-  const __m256d vcomp = _mm256_set1_pd(comp);
+  const __m256d vcomp = _mm256_set1_pd(in.comp);
   const __m256d vinf = _mm256_set1_pd(kInf);
   const __m256i vbit = _mm256_set1_epi64x(static_cast<long long>(in.bit));
   const __m256d tb = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(-static_cast<long long>(sum_tiebreak)));
+      _mm256_set1_epi64x(-static_cast<long long>(in.sum_tiebreak)));
   const __m256d ntb = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(-static_cast<long long>(!sum_tiebreak)));
+      _mm256_set1_epi64x(-static_cast<long long>(!in.sum_tiebreak)));
   const __m256d idx0 = _mm256_castsi256_pd(_mm256_setr_epi64x(0, 1, 2, 3));
 
   std::size_t kept = 0;
@@ -107,24 +94,25 @@ std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
   std::uint32_t worst_node = 0;
   __m256d vworst_bn = _mm256_setzero_pd();
   __m256d vworst_sum = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < edge_count; ++i) {
-    const graph::Edge& e = edges[kOrdered ? order[i] : i];
+  for (std::size_t i = 0; i < in.edge_count; ++i) {
+    const graph::Edge& e = in.edges[kOrdered ? in.order[i] : i];
     const graph::NodeId u = e.from;
-    const std::uint32_t count = counts[u];
+    const std::uint32_t count = in.counts[u];
     if (count == 0) {
       continue;
     }
-    const double mb_bw = input_mb / e.attr.bandwidth_mbps;
+    const double mb_bw = in.input_mb / e.attr.bandwidth_mbps;
     const bool full = kept == beam;
     if (kOrdered && full &&
         scan_exhausted(in, mb_bw, worst_bn, worst_sum)) {
       break;  // no narrower edge can place a candidate either
     }
     // An exact (key, sum) tie with the worst kept candidate still enters
-    // when this node id is lower (candidate_before).
-    const bool ties_enter = kOrdered && u < worst_node;
+    // when this node id is lower (candidate_before).  On a row sorted by
+    // `from` a stored-order scan never sees that.
+    const bool ties_enter = u < worst_node;
     double transport = mb_bw;
-    if (link_delay) {
+    if (in.include_link_delay) {
       transport += e.attr.min_delay_s;
     }
     const __m256d vt = _mm256_set1_pd(transport);
@@ -136,9 +124,9 @@ std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
     for (std::size_t base = 0; base < count; base += 4) {
       const std::size_t lanes = count - base < 4 ? count - base : 4;
       unsigned b = lanes == 4 ? 0xFu : (1u << lanes) - 1u;
-      if (visited != nullptr) {
+      if (in.visited != nullptr) {
         const __m256i words = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(visited + row + base));
+            reinterpret_cast<const __m256i*>(in.visited + row + base));
         const __m256i unvisited = _mm256_cmpeq_epi64(
             _mm256_and_si256(words, vbit), _mm256_setzero_si256());
         b &= static_cast<unsigned>(
@@ -149,8 +137,8 @@ std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
       }
       const __m256d valid = _mm256_loadu_pd(
           reinterpret_cast<const double*>(kLaneMask[b].data()));
-      const __m256d bn_in = _mm256_loadu_pd(bottleneck + row + base);
-      const __m256d sum_in = _mm256_loadu_pd(sums + row + base);
+      const __m256d bn_in = _mm256_loadu_pd(in.bottleneck + row + base);
+      const __m256d sum_in = _mm256_loadu_pd(in.sum + row + base);
       const __m256d key = _mm256_max_pd(_mm256_max_pd(bn_in, vt), vcomp);
       const __m256d sm = _mm256_add_pd(_mm256_add_pd(sum_in, vt), vcomp);
       // Dead lanes go to +inf so they can never win a strict comparison
@@ -159,15 +147,25 @@ std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
       const __m256d sm_m = _mm256_blendv_pd(vinf, sm, valid);
       if (full) {
         // Fast reject under the full insertion criterion: a chunk none
-        // of whose lanes beats or ties the worst kept candidate cannot
-        // contribute.  A chunk whose best lanes only tie it contributes
-        // only when ties enter; exact ties are rare, so that second test
-        // stays off the common path.
-        if (_mm256_movemask_pd(lane_not_after(bn_m, sm_m, vworst_bn,
-                                              vworst_sum, ntb)) == 0 ||
-            (!ties_enter &&
-             _mm256_movemask_pd(lane_before(bn_m, sm_m, vworst_bn,
-                                            vworst_sum, tb)) == 0)) {
+        // of whose lanes beats the worst kept candidate contributes
+        // nothing, unless ties enter and one of its lanes ties it.
+        const auto beats = [&] {
+          return _mm256_movemask_pd(
+                     lane_before(bn_m, sm_m, vworst_bn, vworst_sum, tb)) != 0;
+        };
+        const auto beats_or_ties = [&] {
+          return _mm256_movemask_pd(lane_not_after(
+                     bn_m, sm_m, vworst_bn, vworst_sum, ntb)) != 0;
+        };
+        // Ties enter on about half the edges of an ordered scan, so it
+        // tests "beats or ties" first and the strict test only for the
+        // few chunks that pass.  A stored-order scan of a row sorted by
+        // `from` never lets ties enter: the strict test alone decides
+        // (on an unsorted row such an edge is simply not pre-filtered).
+        const bool reject =
+            kOrdered ? !beats_or_ties() || (!ties_enter && !beats())
+                     : !ties_enter && !beats();
+        if (reject) {
           continue;
         }
       }
@@ -195,7 +193,7 @@ std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
       const auto lane = static_cast<std::size_t>(_mm_cvtsi128_si64(
           _mm256_castsi256_si128(_mm256_castpd_si256(idx_r))));
       if (row_slot < 0 || cbn < row_bn ||
-          (cbn == row_bn && sum_tiebreak && csm < row_sum)) {
+          (cbn == row_bn && in.sum_tiebreak && csm < row_sum)) {
         row_bn = cbn;
         row_sum = csm;
         row_slot = static_cast<std::int32_t>(base + lane);
@@ -204,10 +202,10 @@ std::size_t avx2_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
     if (row_slot < 0) {
       continue;
     }
-    kept = insert_candidate<kOrdered>(cand, kept, beam, row_bn, row_sum,
+    kept = insert_candidate(cand, kept, beam, row_bn, row_sum,
                             static_cast<std::uint32_t>(u),
                             static_cast<std::uint32_t>(row_slot),
-                            sum_tiebreak);
+                            in.sum_tiebreak);
     if (kept == beam) {
       worst_bn = cand[beam - 1].bottleneck;
       worst_sum = cand[beam - 1].sum;

@@ -45,24 +45,11 @@ inline __mmask8 lane_not_after(__m512d bn_a, __m512d sm_a, __m512d bn_b,
 template <bool kOrdered>
 std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Inputs hoisted into locals: stores through `cand` could otherwise
-  // alias them and force a reload on every edge.
-  const graph::Edge* const edges = in.edges;
-  const std::uint32_t* const order = in.order;
-  const std::size_t edge_count = in.edge_count;
-  const std::uint32_t* const counts = in.counts;
-  const double* const bottleneck = in.bottleneck;
-  const double* const sums = in.sum;
-  const std::uint64_t* const visited = in.visited;
   const std::size_t beam = in.beam;
-  const double input_mb = in.input_mb;
-  const double comp = in.comp;
-  const bool link_delay = in.include_link_delay;
-  const bool sum_tiebreak = in.sum_tiebreak;
-  const __m512d vcomp = _mm512_set1_pd(comp);
+  const __m512d vcomp = _mm512_set1_pd(in.comp);
   const __m512d vinf = _mm512_set1_pd(kInf);
   const __m512i vbit = _mm512_set1_epi64(static_cast<long long>(in.bit));
-  const auto tb = static_cast<__mmask8>(sum_tiebreak ? 0xFFu : 0u);
+  const auto tb = static_cast<__mmask8>(in.sum_tiebreak ? 0xFFu : 0u);
   const __m512i idx0 = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
 
   std::size_t kept = 0;
@@ -74,24 +61,25 @@ std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
   std::uint32_t worst_node = 0;
   __m512d vworst_bn = _mm512_setzero_pd();
   __m512d vworst_sum = _mm512_setzero_pd();
-  for (std::size_t i = 0; i < edge_count; ++i) {
-    const graph::Edge& e = edges[kOrdered ? order[i] : i];
+  for (std::size_t i = 0; i < in.edge_count; ++i) {
+    const graph::Edge& e = in.edges[kOrdered ? in.order[i] : i];
     const graph::NodeId u = e.from;
-    const std::uint32_t count = counts[u];
+    const std::uint32_t count = in.counts[u];
     if (count == 0) {
       continue;
     }
-    const double mb_bw = input_mb / e.attr.bandwidth_mbps;
+    const double mb_bw = in.input_mb / e.attr.bandwidth_mbps;
     const bool full = kept == beam;
     if (kOrdered && full &&
         scan_exhausted(in, mb_bw, worst_bn, worst_sum)) {
       break;  // no narrower edge can place a candidate either
     }
     // An exact (key, sum) tie with the worst kept candidate still enters
-    // when this node id is lower (candidate_before).
-    const bool ties_enter = kOrdered && u < worst_node;
+    // when this node id is lower (candidate_before).  On a row sorted by
+    // `from` a stored-order scan never sees that.
+    const bool ties_enter = u < worst_node;
     double transport = mb_bw;
-    if (link_delay) {
+    if (in.include_link_delay) {
       transport += e.attr.min_delay_s;
     }
     const __m512d vt = _mm512_set1_pd(transport);
@@ -103,8 +91,8 @@ std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
     for (std::size_t base = 0; base < count; base += 8) {
       const std::size_t lanes = count - base < 8 ? count - base : 8;
       unsigned b = lanes == 8 ? 0xFFu : (1u << lanes) - 1u;
-      if (visited != nullptr) {
-        const __m512i words = _mm512_loadu_si512(visited + row + base);
+      if (in.visited != nullptr) {
+        const __m512i words = _mm512_loadu_si512(in.visited + row + base);
         const __mmask8 hit = _mm512_test_epi64_mask(words, vbit);
         b &= static_cast<unsigned>(static_cast<std::uint8_t>(~hit));
       }
@@ -112,8 +100,8 @@ std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
         continue;
       }
       const auto valid = static_cast<__mmask8>(b);
-      const __m512d bn_in = _mm512_loadu_pd(bottleneck + row + base);
-      const __m512d sum_in = _mm512_loadu_pd(sums + row + base);
+      const __m512d bn_in = _mm512_loadu_pd(in.bottleneck + row + base);
+      const __m512d sum_in = _mm512_loadu_pd(in.sum + row + base);
       const __m512d key = _mm512_max_pd(_mm512_max_pd(bn_in, vt), vcomp);
       const __m512d sm = _mm512_add_pd(_mm512_add_pd(sum_in, vt), vcomp);
       // Dead lanes go to +inf so they can never win a strict comparison
@@ -122,13 +110,23 @@ std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
       const __m512d sm_m = _mm512_mask_blend_pd(valid, vinf, sm);
       if (full) {
         // Fast reject under the full insertion criterion: a chunk none
-        // of whose lanes beats or ties the worst kept candidate cannot
-        // contribute.  A chunk whose best lanes only tie it contributes
-        // only when ties enter; exact ties are rare, so that second test
-        // stays off the common path.
-        if (lane_not_after(bn_m, sm_m, vworst_bn, vworst_sum, tb) == 0 ||
-            (!ties_enter &&
-             lane_before(bn_m, sm_m, vworst_bn, vworst_sum, tb) == 0)) {
+        // of whose lanes beats the worst kept candidate contributes
+        // nothing, unless ties enter and one of its lanes ties it.
+        const auto beats = [&] {
+          return lane_before(bn_m, sm_m, vworst_bn, vworst_sum, tb) != 0;
+        };
+        const auto beats_or_ties = [&] {
+          return lane_not_after(bn_m, sm_m, vworst_bn, vworst_sum, tb) != 0;
+        };
+        // Ties enter on about half the edges of an ordered scan, so it
+        // tests "beats or ties" first and the strict test only for the
+        // few chunks that pass.  A stored-order scan of a row sorted by
+        // `from` never lets ties enter: the strict test alone decides
+        // (on an unsorted row such an edge is simply not pre-filtered).
+        const bool reject =
+            kOrdered ? !beats_or_ties() || (!ties_enter && !beats())
+                     : !ties_enter && !beats();
+        if (reject) {
           continue;
         }
       }
@@ -170,7 +168,7 @@ std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
       const auto lane = static_cast<std::size_t>(
           _mm_cvtsi128_si64(_mm512_castsi512_si128(idx_r)));
       if (row_slot < 0 || cbn < row_bn ||
-          (cbn == row_bn && sum_tiebreak && csm < row_sum)) {
+          (cbn == row_bn && in.sum_tiebreak && csm < row_sum)) {
         row_bn = cbn;
         row_sum = csm;
         row_slot = static_cast<std::int32_t>(base + lane);
@@ -179,10 +177,10 @@ std::size_t avx512_scan(const CellInputs& in, FrameRateArena::Candidate* cand) {
     if (row_slot < 0) {
       continue;
     }
-    kept = insert_candidate<kOrdered>(cand, kept, beam, row_bn, row_sum,
+    kept = insert_candidate(cand, kept, beam, row_bn, row_sum,
                             static_cast<std::uint32_t>(u),
                             static_cast<std::uint32_t>(row_slot),
-                            sum_tiebreak);
+                            in.sum_tiebreak);
     if (kept == beam) {
       worst_bn = cand[beam - 1].bottleneck;
       worst_sum = cand[beam - 1].sum;

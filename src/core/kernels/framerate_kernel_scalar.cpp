@@ -57,7 +57,7 @@ std::size_t scalar_scan(const CellInputs& in,
     if (!found) {
       continue;
     }
-    kept = insert_candidate<kOrdered>(cand, kept, beam, best_bn, best_sum,
+    kept = insert_candidate(cand, kept, beam, best_bn, best_sum,
                             static_cast<std::uint32_t>(u), best_slot,
                             in.sum_tiebreak);
   }
