@@ -45,8 +45,7 @@
 //       insert_candidate below (bounded, sorted best-first by
 //       candidate_before: on an exact (key, sum) tie the LOWER node id
 //       ranks first — on a CSR row sorted by `from` that is also the
-//       earlier-scanned one, so a stored-order scan keeps what it always
-//       kept).
+//       earlier-scanned one).
 //
 // Why the exit is exact: min_delay_s >= 0, every label is at least
 // (min_bottleneck, min_sum), and IEEE rounding is monotone, so every
