@@ -391,6 +391,65 @@ std::vector<Session> build_sessions() {
     sessions.push_back(std::move(s));
   }
 
+  // Edge answers on both protocol versions: trace-id echoes on error
+  // paths, requests without a usable verb, binary frames the daemon
+  // refuses, the dispatch gate, a queued cancel, and an idle drain.
+  {
+    Session s;
+    s.name = "verb_edges";
+    const graph::LinkUpdate update = make_update(edge, 250.0);
+    const std::string table =
+        wire::encode_link_update_table("net", {&update, 1});
+    const std::string table_frame =
+        wire::encode_header(wire::FrameType::kLinkUpdateTable, 0,
+                            static_cast<std::uint32_t>(table.size())) +
+        table;
+    const std::string wrong_type_frame =
+        wire::encode_header(wire::FrameType::kResultTable, 0,
+                            static_cast<std::uint32_t>(table.size())) +
+        table;
+    s.steps.push_back(
+        {false, R"({"verb": "poll", "ticket": 999, "trace_id": "t-poll-v1"})",
+         "", ""});
+    s.steps.push_back(
+        {false, R"({"verb": "wait", "ticket": 999, "trace_id": "t-wait"})",
+         "", ""});
+    s.steps.push_back({false, "{}", "", ""});
+    s.steps.push_back({false, R"({"verb": 5})", "", ""});
+    s.steps.push_back(
+        {false, R"({"verb": "no_such_verb", "trace_id": "t-unknown"})", "",
+         ""});
+    s.steps.push_back(
+        {false, R"({"verb": "submit", "trace_id": "t-submit"})", "", ""});
+    s.steps.push_back({true, table_frame, "", ""});
+    s.steps.push_back({false, register_line(network), "", ""});
+    s.steps.push_back({false, verb_line("pause"), "", ""});
+    s.steps.push_back(
+        {false,
+         submit_line(make_job("j1", 120, service::Objective::kMinDelay)), "",
+         ""});
+    s.steps.push_back(
+        {false,
+         submit_line(make_job("j2", 122, service::Objective::kMaxFrameRate)),
+         "", ""});
+    s.steps.push_back({false, ticket_line("cancel", 2), "", ""});
+    s.steps.push_back({false, ticket_line("poll", 1), "", ""});
+    s.steps.push_back({false, verb_line("resume"), "", ""});
+    s.steps.push_back({false, ticket_line("wait", 1), "", ""});
+    s.steps.push_back({false, hello_line(1, 2), "", ""});
+    s.steps.push_back(
+        {false, R"({"verb": "poll", "ticket": 999, "trace_id": "t-poll-v2"})",
+         "", ""});
+    s.steps.push_back(
+        {false,
+         R"({"verb": "apply_link_updates", "network": "nope", "updates": [], )"
+         R"("trace_id": "t-updates"})",
+         "", ""});
+    s.steps.push_back({true, wrong_type_frame, "", ""});
+    s.steps.push_back({false, verb_line("drain"), "", ""});
+    sessions.push_back(std::move(s));
+  }
+
   return sessions;
 }
 
