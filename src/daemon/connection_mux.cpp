@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/log.hpp"
+#include "util/timer.hpp"
 
 namespace elpc::daemon {
 
@@ -178,8 +179,7 @@ void ConnectionMux::schedule_after(std::int64_t delay_ms,
   {
     const std::lock_guard<std::mutex> lock(timer_mutex_);
     Timer timer;
-    timer.due = Clock::now() +
-                std::chrono::milliseconds(std::max<std::int64_t>(0, delay_ms));
+    timer.due = util::saturating_add_ms(Clock::now(), delay_ms);
     timer.fn = std::move(fn);
     timers_.push_back(std::move(timer));
   }

@@ -6,6 +6,7 @@
 
 #include "util/log.hpp"
 #include "util/profiler.hpp"
+#include "util/timer.hpp"
 
 namespace elpc::daemon {
 
@@ -90,8 +91,8 @@ Ticket JobManager::submit(service::SolveJob job, int priority) {
       // The budget starts at admission, so queue wait counts against it
       // — stricter than the engine's own solve-entry clock, and the
       // reason an overdue job can expire without ever running.
-      record.deadline = record.submitted_at +
-                        std::chrono::milliseconds(job.deadline_ms);
+      record.deadline =
+          util::saturating_add_ms(record.submitted_at, job.deadline_ms);
       record.has_deadline = true;
       // Only deadlines concern the dispatcher; an ordinary submit wakes
       // nobody but (at most) a pull task.
@@ -302,7 +303,7 @@ JobManager::DrainBaseline JobManager::begin_drain(std::int64_t timeout_ms) {
     // still queued (tightening, never loosening, a job's own): when it
     // lapses, running solves abort per column and queued jobs expire.
     const Clock::time_point cutoff =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
+        util::saturating_add_ms(Clock::now(), timeout_ms);
     for (auto& [ticket, record] : records_) {
       if (record.state != JobState::kQueued &&
           record.state != JobState::kRunning) {
@@ -342,7 +343,7 @@ DrainReport JobManager::drain_progress(const DrainBaseline& baseline) const {
 DrainReport JobManager::drain(std::int64_t timeout_ms) {
   const bool bounded = timeout_ms > 0;
   const Clock::time_point cutoff =
-      bounded ? Clock::now() + std::chrono::milliseconds(timeout_ms)
+      bounded ? util::saturating_add_ms(Clock::now(), timeout_ms)
               : Clock::time_point::max();
   const DrainBaseline baseline = begin_drain(timeout_ms);
   std::unique_lock<std::mutex> lock(mutex_);
@@ -352,7 +353,8 @@ DrainReport JobManager::drain(std::int64_t timeout_ms) {
     // its next column probe to fire and its solve to unwind.  A solve
     // that ignores its abort probe leaves drained = false rather than
     // wedging the drain forever.
-    done_cv_.wait_until(lock, cutoff + std::chrono::seconds(2), released);
+    done_cv_.wait_until(lock, util::saturating_add_ms(cutoff, 2000),
+                        released);
   } else {
     done_cv_.wait(lock, released);
   }

@@ -45,19 +45,29 @@ util::Json error_response(const std::string& message,
   return response;
 }
 
-/// {"ok", "ticket", "state", "priority", "result"?} — the poll/wait
-/// payload.  The result entry appears once the job is terminal.
-util::Json status_response(const JobStatus& status) {
+/// The refusal an unauthenticated connection gets for a gated verb or a
+/// binary frame.
+constexpr const char* kAuthRequired =
+    "authentication required: send {\"verb\": \"auth\", \"token\": ...} "
+    "first (only `stats` is served unauthenticated)";
+
+/// Solve results an answer ships beside its control fields, under `key`:
+/// "result" (the one entry of a terminal poll/wait) or "results" (the
+/// re-solved subscriptions of apply_link_updates).  Null key: none.
+struct Results {
+  const char* key = nullptr;
+  std::span<const service::SolveResult> rows;
+};
+
+/// {"ok", "ticket", "state", "priority", "trace_id"?, "shutting_down"?}
+/// — the poll/wait control fields; status_results() holds the entry.
+util::Json status_control(const JobStatus& status) {
   util::Json response = ok_response();
   response.set("ticket", status.ticket);
   response.set("state", job_state_name(status.state));
   response.set("priority", status.priority);
   if (!status.trace_id.empty()) {
     response.set("trace_id", status.trace_id);
-  }
-  if (status.terminal()) {
-    const util::ProfileScope serialize_phase("serialize", "daemon");
-    response.set("result", service::result_entry_to_json(status.result));
   }
   if (status.shutting_down) {
     // `wait` released without a terminal state because the daemon is
@@ -67,29 +77,66 @@ util::Json status_response(const JobStatus& status) {
   return response;
 }
 
-/// The v2 counterpart of status_response for terminal statuses: the
-/// same fields minus "result", plus the "payload" marker announcing the
-/// adjacent binary result-table frame that carries the entry instead.
-/// A v2 client reinflates {control, frame} into exactly the v1 JSON.
-util::Json status_control_v2(const JobStatus& status) {
-  util::Json response = ok_response();
-  response.set("ticket", status.ticket);
-  response.set("state", job_state_name(status.state));
-  response.set("priority", status.priority);
-  if (!status.trace_id.empty()) {
-    response.set("trace_id", status.trace_id);
+/// The result entry appears once the job is terminal.
+Results status_results(const JobStatus& status) {
+  if (!status.terminal()) {
+    return {};
   }
-  response.set("payload", "result");
-  if (status.shutting_down) {
-    response.set("shutting_down", true);
-  }
-  return response;
+  return {"result", {&status.result, 1}};
 }
 
-/// Negotiation math shared by the framed hello handler and the direct
-/// handle() path: intersect the client's advertised range with ours.
-/// `negotiated` is 0 when the ranges do not overlap (the response then
-/// carries code "version_mismatch" and the connection stays at v1).
+/// Completes an answer for protocol `version` and returns the binary
+/// frame that must follow its control line, if any.  v1 inlines the
+/// results as JSON under their key; v2 names the key in "payload" and
+/// ships the rows as one result-table frame, which a v2 client
+/// reinflates into exactly the v1 JSON.  The request's trace id is
+/// echoed unless the answer already carries one.
+std::optional<std::string> finish_answer(util::Json& control,
+                                         const Results& results, int version,
+                                         const std::string& trace_id) {
+  std::optional<std::string> frame;
+  if (results.key != nullptr) {
+    const util::ProfileScope serialize_phase("serialize", "daemon",
+                                             results.rows.size());
+    if (version >= 2) {
+      control.set("payload", results.key);
+      frame = wire::encode_result_table(results.rows);
+    } else if (std::string_view(results.key) == "result") {
+      control.set("result",
+                  service::result_entry_to_json(results.rows.front()));
+    } else {
+      util::JsonArray entries;
+      for (const service::SolveResult& r : results.rows) {
+        entries.push_back(service::result_entry_to_json(r));
+      }
+      control.set(results.key, util::Json(std::move(entries)));
+    }
+  }
+  if (!trace_id.empty() && !control.contains("trace_id")) {
+    control.set("trace_id", trace_id);
+  }
+  return frame;
+}
+
+/// The one write path for answers on a connection, synchronous or from a
+/// completion callback.
+void send_answer(MuxConnection& conn, int version, const std::string& trace_id,
+                 util::Json control, const Results& results = {}) {
+  std::optional<std::string> frame =
+      finish_answer(control, results, version, trace_id);
+  const util::ProfileScope write_phase("socket_write", "daemon");
+  if (frame.has_value()) {
+    conn.send_line_with_frame(control.dump(), wire::FrameType::kResultTable,
+                              std::move(*frame));
+  } else {
+    conn.send_line(control.dump());
+  }
+}
+
+/// Protocol-version negotiation: intersect the client's advertised range
+/// with ours.  `negotiated` is 0 when the ranges do not overlap (the
+/// response then carries code "version_mismatch" and the connection stays
+/// at v1).
 util::Json hello_response(const util::Json& request, int& negotiated) {
   negotiated = 0;
   std::int64_t client_min = 1;
@@ -136,22 +183,12 @@ Ticket ticket_field(const util::Json& request) {
   return static_cast<Ticket>(raw);
 }
 
-/// The request's trace id ("" when absent/not a string).
-std::string trace_field(const util::Json& request) {
-  if (const util::Json* trace = request.find("trace_id")) {
-    if (trace->is_string()) {
-      return trace->as_string();
-    }
-  }
-  return "";
-}
-
-/// Echo the request's trace id onto an out-of-band response (the async
-/// and gate paths, which bypass handle()'s echo).
-void echo_trace(const std::string& trace_id, util::Json& response) {
-  if (!trace_id.empty() && !response.contains("trace_id")) {
-    response.set("trace_id", trace_id);
-  }
+/// A string field of the request ("" when absent or not a string).
+std::string_view string_field(const util::Json& request, const char* key) {
+  const util::Json* field = request.find(key);
+  return field != nullptr && field->is_string()
+             ? std::string_view(field->as_string())
+             : std::string_view();
 }
 
 /// Current OS thread count of this process (/proc/self/status), the
@@ -472,6 +509,43 @@ void SocketServer::stop() {
   }
 }
 
+/// One request on its way through the verb table.  A framed request
+/// carries its connection and answers on it at the version negotiated
+/// when it arrived; a handle() request has none and collects its v1
+/// answer in `out`.
+struct SocketServer::Exchange {
+  const util::Json& request;
+  std::string_view verb{};
+  std::string trace_id{};
+  std::shared_ptr<MuxConnection> conn{};
+  std::shared_ptr<ConnState> state{};
+  int version = 1;
+  std::size_t frame_bytes = 0;
+  /// apply_link_updates' bulk form: a binary frame instead of JSON fields.
+  const wire::FrameHeader* frame = nullptr;
+  std::string_view payload{};
+  util::Json* out = nullptr;
+
+  void reply(util::Json control, const Results& results = {}) {
+    if (conn) {
+      send_answer(*conn, version, trace_id, std::move(control), results);
+      return;
+    }
+    (void)finish_answer(control, results, 1, trace_id);
+    *out = std::move(control);
+  }
+
+  /// The connection's state, for the verbs that act on a connection;
+  /// handle()'s connection-less exchanges answer ok=false instead.
+  ConnState& connection() const {
+    if (!state) {
+      throw std::invalid_argument("verb '" + std::string(verb) +
+                                  "' needs a connection");
+    }
+    return *state;
+  }
+};
+
 void SocketServer::handle_frame(const std::shared_ptr<MuxConnection>& conn,
                                 const std::string& line) {
   util::Json request;
@@ -488,109 +562,133 @@ void SocketServer::handle_frame(const std::shared_ptr<MuxConnection>& conn,
     state = std::make_shared<ConnState>();
     conn->user_state = state;
   }
-  std::string verb;
-  if (const util::Json* v = request.find("verb")) {
-    if (v->is_string()) {
-      verb = v->as_string();
-    }
-  }
-  if (verb == "auth") {
-    handle_auth(conn, *state, request);
-    return;
-  }
-  if (verb == "hello") {
-    // Like `stats`, negotiation is served unauthenticated: a client
-    // must be able to learn what the endpoint speaks before deciding
-    // how (or whether) to authenticate.
-    handle_hello(conn, *state, request);
-    return;
-  }
-  if (!options_.auth_token.empty() && !state->authenticated &&
-      verb != "stats") {
-    util::Json response = error_response(
-        "authentication required: send {\"verb\": \"auth\", \"token\": ...} "
-        "first (only `stats` is served unauthenticated)",
-        codes::kUnauthenticated);
-    echo_trace(trace_field(request), response);
-    conn->send_line(response.dump());
-    return;
-  }
   const int version = state->version.load(std::memory_order_relaxed);
-  try {
-    if (verb == "submit") {
-      handle_submit_framed(conn, state, request, line.size());
-      return;
-    }
-    if (verb == "wait") {
-      handle_wait_framed(conn, request, version);
-      return;
-    }
-    if (verb == "drain") {
-      handle_drain_framed(conn, request);
-      return;
-    }
-    if (version >= 2 && verb == "poll") {
-      handle_poll_v2(conn, request);
-      return;
-    }
-    if (version >= 2 && verb == "apply_link_updates") {
-      handle_link_updates_v2(conn, request);
-      return;
-    }
-  } catch (const std::exception& e) {
-    // The framed handlers run outside handle()'s catch-all; a client
-    // must no more crash an IO worker than it could the old per-
-    // connection thread.
-    util::Json response = error_response(e.what());
-    echo_trace(trace_field(request), response);
-    conn->send_line(response.dump());
+  Exchange ex{.request = request,
+              .verb = string_field(request, "verb"),
+              .trace_id = std::string(string_field(request, "trace_id")),
+              .conn = conn,
+              .state = std::move(state),
+              .version = version,
+              .frame_bytes = line.size()};
+  dispatch(ex);
+}
+
+void SocketServer::handle_binary_frame(
+    const std::shared_ptr<MuxConnection>& conn,
+    const wire::FrameHeader& header, std::string_view payload) {
+  // A well-formed frame arrived, so the stream is still in sync — these
+  // failures answer one error line and keep the connection, unlike the
+  // mux-level framing violations (bad magic, over-cap) that must close.
+  auto state = std::static_pointer_cast<ConnState>(conn->user_state);
+  const int version =
+      state ? state->version.load(std::memory_order_relaxed) : 1;
+  if (version < 2) {
+    conn->send_line(
+        error_response("binary frame before a v2 hello", codes::kProtocol)
+            .dump());
     return;
   }
-  util::Json response = handle(request);
-  {
-    const util::ProfileScope write_phase("socket_write", "daemon");
-    conn->send_line(response.dump());
-  }
-  if (verb == "shutdown") {
-    // The response is queued; the serve() teardown flushes it
-    // best-effort on the way down, like the old close-after-answer.
-    stop();
-  }
+  static const util::Json kNoFields = util::JsonObject{};
+  Exchange ex{.request = kNoFields,
+              .verb = "apply_link_updates",
+              .conn = conn,
+              .state = std::move(state),
+              .version = version,
+              .frame = &header,
+              .payload = payload};
+  dispatch(ex);
 }
 
-void SocketServer::handle_auth(const std::shared_ptr<MuxConnection>& conn,
-                               ConnState& state, const util::Json& request) {
-  std::string token;
-  if (const util::Json* t = request.find("token")) {
-    if (t->is_string()) {
-      token = t->as_string();
-    }
-  }
+util::Json SocketServer::handle(const util::Json& request) {
   util::Json response;
-  if (options_.auth_token.empty() ||
-      util::constant_time_equals(token, options_.auth_token)) {
-    // With auth off every connection is born authorized; accepting the
-    // verb anyway lets one client config speak to both deployments.
-    state.authenticated = true;
-    response = ok_response();
-    response.set("authenticated", true);
-  } else {
-    auth_failures_c_->add();
-    response = error_response("invalid auth token", codes::kAuthFailed);
-  }
-  echo_trace(trace_field(request), response);
-  conn->send_line(response.dump());
+  Exchange ex{.request = request,
+              .verb = string_field(request, "verb"),
+              .trace_id = std::string(string_field(request, "trace_id")),
+              .out = &response};
+  dispatch(ex);
+  return response;
 }
 
-void SocketServer::handle_hello(const std::shared_ptr<MuxConnection>& conn,
-                                ConnState& state, const util::Json& request) {
-  int negotiated = 0;
-  util::Json response;
+void SocketServer::dispatch(Exchange& ex) {
+  // The verb table: one handler per verb.  `open` verbs are served
+  // before a connection authenticates: a client must be able to learn
+  // what the endpoint speaks (hello, stats) before deciding how (or
+  // whether) to authenticate.  tools/check_protocol_docs.sh reads the
+  // names from these entries.
+  struct Verb {
+    std::string_view name;
+    bool open;
+    void (SocketServer::*handler)(Exchange&);
+  };
+  constexpr bool kOpen = true;
+  constexpr bool kGated = false;
+  static constexpr Verb kVerbs[] = {
+      {"submit", kGated, &SocketServer::verb_submit},
+      {"poll", kGated, &SocketServer::verb_poll},
+      {"wait", kGated, &SocketServer::verb_wait},
+      {"apply_link_updates", kGated, &SocketServer::verb_apply_link_updates},
+      {"register_network", kGated, &SocketServer::verb_register_network},
+      {"cancel", kGated, &SocketServer::verb_cancel},
+      {"pause", kGated, &SocketServer::verb_pause},
+      {"resume", kGated, &SocketServer::verb_resume},
+      {"metrics", kGated, &SocketServer::verb_metrics},
+      {"slowlog", kGated, &SocketServer::verb_slowlog},
+      {"trace", kGated, &SocketServer::verb_trace},
+      {"drain", kGated, &SocketServer::verb_drain},
+      {"shutdown", kGated, &SocketServer::verb_shutdown},
+      {"auth", kOpen, &SocketServer::verb_auth},
+      {"hello", kOpen, &SocketServer::verb_hello},
+      {"stats", kOpen, &SocketServer::verb_stats},
+  };
+  // The request's trace id scopes the whole exchange: log lines and
+  // profiler events emitted while serving it carry it, and the answer
+  // echoes it.  A request without one runs (and answers) without.
+  const util::ScopedTraceContext trace_scope(ex.trace_id);
   try {
-    response = hello_response(request, negotiated);
+    const Verb* verb =
+        std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                     [&ex](const Verb& v) { return v.name == ex.verb; });
+    const bool known = verb != std::end(kVerbs);
+    if (ex.state && !ex.state->authenticated &&
+        !options_.auth_token.empty() && !(known && verb->open)) {
+      ex.reply(error_response(kAuthRequired, codes::kUnauthenticated));
+      return;
+    }
+    if (!known) {
+      // at()/as_string() throw their own texts for `{}` and a
+      // non-string verb.
+      throw std::invalid_argument("unknown verb '" +
+                                  ex.request.at("verb").as_string() + "'");
+    }
+    (this->*verb->handler)(ex);
   } catch (const std::exception& e) {
-    response = error_response(e.what());
+    // A client must never be able to crash an IO worker: every failure
+    // answers ok=false on that frame.
+    ex.reply(error_response(e.what()));
   }
+}
+
+void SocketServer::verb_auth(Exchange& ex) {
+  ConnState& state = ex.connection();
+  if (!options_.auth_token.empty() &&
+      !util::constant_time_equals(string_field(ex.request, "token"),
+                                  options_.auth_token)) {
+    auth_failures_c_->add();
+    ex.reply(error_response("invalid auth token", codes::kAuthFailed));
+    return;
+  }
+  // With auth off every connection is born authorized; accepting the
+  // verb anyway lets one client config speak to both deployments.
+  state.authenticated = true;
+  util::Json response = ok_response();
+  response.set("authenticated", true);
+  ex.reply(std::move(response));
+}
+
+void SocketServer::verb_hello(Exchange& ex) {
+  ConnState& state = ex.connection();
+  int negotiated = 0;
+  util::Json response = hello_response(ex.request, negotiated);
   if (negotiated != 0) {
     const int previous =
         state.version.exchange(negotiated, std::memory_order_relaxed);
@@ -602,241 +700,315 @@ void SocketServer::handle_hello(const std::shared_ptr<MuxConnection>& conn,
       live_v2_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  echo_trace(trace_field(request), response);
-  conn->send_line(response.dump());
+  ex.reply(std::move(response));
 }
 
-void SocketServer::handle_submit_framed(
-    const std::shared_ptr<MuxConnection>& conn,
-    const std::shared_ptr<ConnState>& state, const util::Json& request,
-    std::size_t frame_bytes) {
+void SocketServer::verb_submit(Exchange& ex) {
   // Quota gate: what THIS connection already has in flight, checked
   // before the job touches the queue.  The counters come back down via
   // a completion callback, so a client that submits and walks away
   // cannot ratchet its budget shut forever.
-  if (options_.max_inflight_jobs > 0 &&
+  const std::shared_ptr<ConnState>& state = ex.state;
+  const std::size_t frame_bytes = ex.frame_bytes;
+  if (state && options_.max_inflight_jobs > 0 &&
       state->inflight_jobs.load(std::memory_order_relaxed) >=
           options_.max_inflight_jobs) {
     quota_rejections_c_->add();
-    util::Json response = error_response(
+    ex.reply(error_response(
         "per-connection in-flight job quota exceeded (" +
             std::to_string(options_.max_inflight_jobs) + " jobs)",
-        codes::kQuotaJobs);
-    echo_trace(trace_field(request), response);
-    conn->send_line(response.dump());
+        codes::kQuotaJobs));
     return;
   }
-  if (options_.max_inflight_bytes > 0 &&
+  if (state && options_.max_inflight_bytes > 0 &&
       state->inflight_bytes.load(std::memory_order_relaxed) + frame_bytes >
           options_.max_inflight_bytes) {
     quota_rejections_c_->add();
-    util::Json response = error_response(
+    ex.reply(error_response(
         "per-connection in-flight byte quota exceeded (" +
             std::to_string(options_.max_inflight_bytes) + " bytes)",
-        codes::kQuotaBytes);
-    echo_trace(trace_field(request), response);
-    conn->send_line(response.dump());
+        codes::kQuotaBytes));
     return;
   }
-  util::Json response = handle(request);
-  if (response.at("ok").as_bool()) {
-    const Ticket ticket =
-        static_cast<Ticket>(response.at("ticket").as_int());
+  service::SolveJob job = service::job_from_json(ex.request.at("job"));
+  // The job inherits the request's trace id unless the client stamped
+  // the job itself (the job-level id wins: it is what the span, the
+  // solve's log lines, and poll/wait echoes will carry).
+  if (job.trace_id.empty()) {
+    job.trace_id = util::trace_context();
+  }
+  int priority = 0;
+  if (const util::Json* p = ex.request.find("priority")) {
+    priority = static_cast<int>(p->as_int());
+  }
+  const Ticket ticket = manager_->submit(job, priority);
+  if (state) {
     state->inflight_jobs.fetch_add(1, std::memory_order_relaxed);
     state->inflight_bytes.fetch_add(frame_bytes, std::memory_order_relaxed);
     // The release hook: fires exactly once at the terminal transition
     // (or manager stop), wherever the submitting connection is by then.
+    auto release = [state, frame_bytes](const JobStatus&) {
+      state->inflight_jobs.fetch_sub(1, std::memory_order_relaxed);
+      state->inflight_bytes.fetch_sub(frame_bytes, std::memory_order_relaxed);
+    };
     try {
-      manager_->wait_async(
-          ticket, [state, frame_bytes](const JobStatus&) {
-            state->inflight_jobs.fetch_sub(1, std::memory_order_relaxed);
-            state->inflight_bytes.fetch_sub(frame_bytes,
-                                            std::memory_order_relaxed);
-          });
+      manager_->wait_async(ticket, release);
     } catch (const std::exception&) {
       // Ticket already evicted (terminal and swept): in-flight is over.
-      state->inflight_jobs.fetch_sub(1, std::memory_order_relaxed);
-      state->inflight_bytes.fetch_sub(frame_bytes,
-                                      std::memory_order_relaxed);
+      release(JobStatus{});
     }
   }
-  const util::ProfileScope write_phase("socket_write", "daemon");
-  conn->send_line(response.dump());
+  util::Json response = ok_response();
+  response.set("ticket", ticket);
+  ex.reply(std::move(response));
 }
 
-void SocketServer::handle_wait_framed(
-    const std::shared_ptr<MuxConnection>& conn, const util::Json& request,
-    int version) {
-  const std::string trace_id = trace_field(request);
-  try {
-    const Ticket ticket = ticket_field(request);
-    // Completion-driven wait: no thread parks.  The callback may fire
-    // inline (already terminal), from the engine worker that finished
-    // the job, or from stop();
-    // the connection may be long gone by then, hence the weak_ptr.
-    // `version` rides along by value: the response speaks the protocol
-    // the connection had when it asked.
-    std::weak_ptr<MuxConnection> weak = conn;
-    manager_->wait_async(
-        ticket, [weak, trace_id, version](const JobStatus& status) {
-          const std::shared_ptr<MuxConnection> target = weak.lock();
-          if (!target) {
-            return;  // submitter hung up; the result stays pollable
-          }
-          if (version >= 2 && status.terminal()) {
-            util::Json control = status_control_v2(status);
-            echo_trace(trace_id, control);
-            std::string payload;
-            {
-              const util::ProfileScope serialize_phase("serialize", "daemon");
-              payload = wire::encode_result_table(
-                  std::span<const service::SolveResult>(&status.result, 1));
-            }
-            target->send_line_with_frame(control.dump(),
-                                         wire::FrameType::kResultTable,
-                                         std::move(payload));
-            return;
-          }
-          util::Json response = status_response(status);
-          echo_trace(trace_id, response);
-          target->send_line(response.dump());
-        });
-  } catch (const std::exception& e) {
-    util::Json response = error_response(e.what());
-    echo_trace(trace_id, response);
-    conn->send_line(response.dump());
-  }
+void SocketServer::verb_poll(Exchange& ex) {
+  const JobStatus status = manager_->poll(ticket_field(ex.request));
+  ex.reply(status_control(status), status_results(status));
 }
 
-void SocketServer::handle_poll_v2(const std::shared_ptr<MuxConnection>& conn,
-                                  const util::Json& request) {
-  const std::string trace_id = trace_field(request);
-  const util::ScopedTraceContext trace_scope(trace_id);
-  try {
-    const JobStatus status = manager_->poll(ticket_field(request));
-    if (!status.terminal()) {
-      // Nothing bulky to ship — the status stays a plain JSON line even
-      // on v2 (control frames are JSON on every version).
-      util::Json response = status_response(status);
-      echo_trace(trace_id, response);
-      conn->send_line(response.dump());
+void SocketServer::verb_wait(Exchange& ex) {
+  (void)ex.connection();
+  // Completion-driven: no thread parks.  The callback may fire inline
+  // (already terminal), from the engine worker that finished the job, or
+  // from stop(); the connection may be long gone by then, hence the
+  // weak_ptr.  The answer speaks the version the connection had when it
+  // asked, so a later renegotiation cannot change its encoding.
+  std::weak_ptr<MuxConnection> weak = ex.conn;
+  manager_->wait_async(
+      ticket_field(ex.request),
+      [weak, version = ex.version,
+       trace_id = ex.trace_id](const JobStatus& status) {
+        // A submitter that hung up leaves the result pollable.
+        if (const std::shared_ptr<MuxConnection> target = weak.lock()) {
+          send_answer(*target, version, trace_id, status_control(status),
+                      status_results(status));
+        }
+      });
+}
+
+void SocketServer::verb_apply_link_updates(Exchange& ex) {
+  std::vector<service::SolveResult> resolved;
+  if (ex.frame == nullptr) {
+    const std::vector<graph::LinkUpdate> updates =
+        service::link_updates_from_json(ex.request.at("updates"));
+    resolved = engine_->apply_link_updates(ex.request.at("network").as_string(),
+                                           updates);
+  } else {
+    if (ex.frame->type != wire::FrameType::kLinkUpdateTable) {
+      ex.reply(error_response(
+          "unexpected binary frame type " +
+              std::to_string(static_cast<int>(ex.frame->type)),
+          codes::kProtocol));
       return;
     }
-    util::Json control = status_control_v2(status);
-    echo_trace(trace_id, control);
-    std::string payload;
-    {
-      const util::ProfileScope serialize_phase("serialize", "daemon");
-      payload = wire::encode_result_table(
-          std::span<const service::SolveResult>(&status.result, 1));
+    wire::LinkUpdateTable table;
+    try {
+      table = wire::decode_link_update_table(ex.payload);
+    } catch (const wire::WireFormatError& e) {
+      ex.reply(error_response(e.what(), codes::kProtocol));
+      return;
     }
-    const util::ProfileScope write_phase("socket_write", "daemon");
-    conn->send_line_with_frame(control.dump(), wire::FrameType::kResultTable,
-                               std::move(payload));
-  } catch (const std::exception& e) {
-    util::Json response = error_response(e.what());
-    echo_trace(trace_id, response);
-    conn->send_line(response.dump());
+    resolved = engine_->apply_link_updates(table.network, table.updates);
   }
+  ex.reply(ok_response(), {"results", resolved});
 }
 
-void SocketServer::handle_link_updates_v2(
-    const std::shared_ptr<MuxConnection>& conn, const util::Json& request) {
-  const std::string trace_id = trace_field(request);
-  const util::ScopedTraceContext trace_scope(trace_id);
-  try {
-    const std::vector<graph::LinkUpdate> updates =
-        service::link_updates_from_json(request.at("updates"));
-    const std::vector<service::SolveResult> resolved =
-        engine_->apply_link_updates(request.at("network").as_string(),
-                                    updates);
-    util::Json control = ok_response();
-    control.set("payload", "results");
-    echo_trace(trace_id, control);
-    std::string payload;
-    {
-      const util::ProfileScope serialize_phase("serialize", "daemon",
-                                               resolved.size());
-      payload = wire::encode_result_table(resolved);
-    }
-    const util::ProfileScope write_phase("socket_write", "daemon");
-    conn->send_line_with_frame(control.dump(), wire::FrameType::kResultTable,
-                               std::move(payload));
-  } catch (const std::exception& e) {
-    util::Json response = error_response(e.what());
-    echo_trace(trace_id, response);
-    conn->send_line(response.dump());
-  }
+void SocketServer::verb_register_network(Exchange& ex) {
+  (void)engine_->register_network(
+      ex.request.at("id").as_string(),
+      graph::network_from_json(ex.request.at("network")));
+  ex.reply(ok_response());
 }
 
-void SocketServer::handle_binary_frame(
-    const std::shared_ptr<MuxConnection>& conn,
-    const wire::FrameHeader& header, std::string_view payload) {
-  // A well-formed frame arrived, so the stream is still in sync — these
-  // failures answer one error line and keep the connection, unlike the
-  // mux-level framing violations (bad magic, over-cap) that must close.
-  const auto state = std::static_pointer_cast<ConnState>(conn->user_state);
-  if (!state || state->version.load(std::memory_order_relaxed) < 2) {
-    conn->send_line(
-        error_response("binary frame before a v2 hello", codes::kProtocol)
-            .dump());
-    return;
-  }
-  if (!options_.auth_token.empty() && !state->authenticated) {
-    conn->send_line(
-        error_response(
-            "authentication required: send {\"verb\": \"auth\", \"token\": "
-            "...} first (only `stats` is served unauthenticated)",
-            codes::kUnauthenticated)
-            .dump());
-    return;
-  }
-  if (header.type != wire::FrameType::kLinkUpdateTable) {
-    conn->send_line(error_response(
-                        "unexpected binary frame type " +
-                            std::to_string(static_cast<int>(header.type)),
-                        codes::kProtocol)
-                        .dump());
-    return;
-  }
-  try {
-    const wire::LinkUpdateTable table =
-        wire::decode_link_update_table(payload);
-    const std::vector<service::SolveResult> resolved =
-        engine_->apply_link_updates(table.network, table.updates);
-    util::Json control = ok_response();
-    control.set("payload", "results");
-    std::string out;
-    {
-      const util::ProfileScope serialize_phase("serialize", "daemon",
-                                               resolved.size());
-      out = wire::encode_result_table(resolved);
-    }
-    const util::ProfileScope write_phase("socket_write", "daemon");
-    conn->send_line_with_frame(control.dump(), wire::FrameType::kResultTable,
-                               std::move(out));
-  } catch (const wire::WireFormatError& e) {
-    conn->send_line(error_response(e.what(), codes::kProtocol).dump());
-  } catch (const std::exception& e) {
-    conn->send_line(error_response(e.what()).dump());
-  }
+void SocketServer::verb_cancel(Exchange& ex) {
+  const bool cancelled = manager_->cancel(ticket_field(ex.request));
+  util::Json response = ok_response();
+  response.set("cancelled", cancelled);
+  ex.reply(std::move(response));
 }
 
-void SocketServer::handle_drain_framed(
-    const std::shared_ptr<MuxConnection>& conn, const util::Json& request) {
-  const std::string trace_id = trace_field(request);
+void SocketServer::verb_pause(Exchange& ex) {
+  manager_->pause();
+  ex.reply(ok_response());
+}
+
+void SocketServer::verb_resume(Exchange& ex) {
+  manager_->resume();
+  ex.reply(ok_response());
+}
+
+void SocketServer::verb_stats(Exchange& ex) {
+  const JobManagerStats jobs = manager_->stats();
+  const service::EngineStats engine = engine_->stats();
+  util::Json response = ok_response();
+  response.set("queued", jobs.queued);
+  response.set("running", jobs.running);
+  response.set("done", jobs.done);
+  response.set("failed", jobs.failed);
+  response.set("cancelled", jobs.cancelled);
+  response.set("timed_out", jobs.timed_out);
+  response.set("submitted", jobs.submitted);
+  response.set("paused", jobs.paused);
+  response.set("draining", jobs.draining);
+  response.set("sessions", engine.sessions);
+  response.set("subscriptions", engine.subscriptions);
+  response.set("arenas_created", engine.arenas_created);
+  response.set("cached_revisions", engine.cached_revisions);
+  response.set("cached_bytes", engine.cached_bytes);
+  response.set("cache_evictions", engine.cache_evictions);
+  // Incremental re-solve health: reuse hit rate and how much DP
+  // work the checkpoints actually saved, plus their cache charge.
+  response.set("incremental_hits", engine.incremental_hits);
+  response.set("incremental_misses", engine.incremental_misses);
+  response.set("incremental_columns_reused",
+               engine.incremental_columns_reused);
+  response.set("checkpoints", engine.checkpoints);
+  response.set("checkpoint_bytes", engine.checkpoint_bytes);
+  response.set("checkpoint_evictions", engine.checkpoint_evictions);
+  // Leak diagnostic: superseded revisions still pinned by outside
+  // references.  Steady state == subscriptions; monotonic growth
+  // means a solve hung and pins its revision forever.
+  response.set("pinned_revisions", engine.pinned_revisions);
+  response.set("pinned_bytes", engine.pinned_bytes);
+  // Lease health: pins force-released because a solve outlived its
+  // budget (always 0 with leases off).
+  response.set("lease_expirations", engine.lease_expirations);
+  // Which frame-rate kernel serves this engine's jobs, plus how many
+  // each kernel has served (operators check this after forcing a
+  // kernel via ELPC_FORCE_KERNEL or serve --kernel).
+  response.set("kernel", engine.kernel);
+  util::Json kernel_jobs = util::JsonObject{};
+  for (const auto& [name, served] : engine.kernel_jobs) {
+    kernel_jobs.set(name, served);
+  }
+  response.set("kernel_jobs", std::move(kernel_jobs));
+  // Front-end health: who is connected over what, whether auth
+  // gates them, and the fixed-pool thread invariant (threads_os
+  // must not scale with connections — the 1000-idle-client smoke
+  // asserts exactly this field).
+  const std::size_t live = mux_ ? mux_->connection_count() : 0;
+  const std::size_t live_v2 = live_v2_.load(std::memory_order_relaxed);
+  response.set("connections", live);
+  response.set("connections_unix",
+               mux_ ? mux_->connection_count("unix") : 0);
+  response.set("connections_tcp",
+               mux_ ? mux_->connection_count("tcp") : 0);
+  // Per-protocol split of the same live count: v2 = connections
+  // that negotiated via `hello`, v1 = everyone else (including
+  // clients predating negotiation entirely).
+  response.set("connections_v1", live >= live_v2 ? live - live_v2 : 0);
+  response.set("connections_v2", live_v2);
+  response.set("protocol_min", wire::kProtocolVersionMin);
+  response.set("protocol_max", wire::kProtocolVersionMax);
+  response.set("connections_accepted",
+               mux_ ? mux_->connections_total("unix") +
+                          mux_->connections_total("tcp")
+                    : 0);
+  response.set("auth_required", !options_.auth_token.empty());
+  response.set("auth_failures", auth_failures_c_->value());
+  response.set("quota_rejections", quota_rejections_c_->value());
+  response.set("io_workers", options_.io_workers);
+  response.set("threads_os", os_thread_count());
+  response.set("tcp_port", tcp_port());
+  // Daemon provenance + clock anchors: uptime for `client top`'s
+  // rate math, the wall-clock start for log correlation, and what
+  // this binary was built from.
+  response.set("uptime_ms",
+               std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - started_)
+                   .count());
+  response.set("started_unix_ms", started_unix_ms_);
+  response.set("slow_ms", options_.slow_ms);
+  response.set("build", build_info_json());
+  // The same snapshot the `metrics` verb exposes, in compact JSON
+  // (per-family percentiles, no bucket arrays) — one round trip for
+  // `client top` and the chaos driver's invariants.
+  response.set("metrics", metrics_.json_snapshot());
+  ex.reply(std::move(response));
+}
+
+void SocketServer::verb_metrics(Exchange& ex) {
+  // Prometheus text exposition, shipped as one JSON string field so
+  // the line-delimited framing stays intact.
+  util::Json response = ok_response();
+  response.set("text", metrics_.prometheus_text());
+  ex.reply(std::move(response));
+}
+
+void SocketServer::verb_slowlog(Exchange& ex) {
+  // Server-side filters: entries leave the ring already narrowed, so
+  // a client chasing one state/kernel over a fat slowlog doesn't
+  // ship (or parse) the rest.  `total` stays the unfiltered
+  // cumulative count — it is the conservation anchor.
+  std::string state_filter;
+  std::string kernel_filter;
+  double min_ms = 0.0;
+  if (const util::Json* s = ex.request.find("state")) {
+    state_filter = s->as_string();
+  }
+  if (const util::Json* k = ex.request.find("kernel")) {
+    kernel_filter = k->as_string();
+  }
+  if (const util::Json* m = ex.request.find("min_ms")) {
+    min_ms = m->as_number();
+  }
+  util::Json response = ok_response();
+  response.set("slow_ms", options_.slow_ms);
+  response.set("total", slowlog_.total_added());
+  util::JsonArray entries;
+  for (const TraceSpan& span : slowlog_.entries()) {
+    if (!state_filter.empty() && span.state != state_filter) {
+      continue;
+    }
+    if (!kernel_filter.empty() && span.kernel != kernel_filter) {
+      continue;
+    }
+    if (span.e2e_ms < min_ms) {
+      continue;
+    }
+    entries.push_back(span_to_json(span));
+  }
+  response.set("entries", util::Json(std::move(entries)));
+  ex.reply(std::move(response));
+}
+
+void SocketServer::verb_trace(Exchange& ex) {
+  // Draining consumes the rings: each event is exported exactly
+  // once, so periodic `trace` pulls tile the timeline instead of
+  // repeating it.  Spans are not consumed (the ring keeps its
+  // retention window); spans_total counts every terminal job ever.
+  const util::ProfilerSnapshot snapshot = util::Profiler::drain();
+  const std::vector<TraceSpan> spans = tracelog_.entries();
+  util::Json response = ok_response();
+  response.set("profiling", util::Profiler::enabled());
+  response.set("events", snapshot.events.size());
+  response.set("recorded", snapshot.recorded);
+  response.set("dropped", snapshot.dropped);
+  response.set("drained", snapshot.drained);
+  response.set("threads", snapshot.threads);
+  response.set("spans", spans.size());
+  response.set("spans_total", tracelog_.total_added());
+  response.set("trace", chrome_trace_json(snapshot, spans));
+  ex.reply(std::move(response));
+}
+
+void SocketServer::verb_drain(Exchange& ex) {
+  (void)ex.connection();
   std::int64_t timeout_ms = 10000;
-  if (const util::Json* t = request.find("timeout_ms")) {
+  if (const util::Json* t = ex.request.find("timeout_ms")) {
     timeout_ms = t->as_int();
   }
   const JobManager::DrainBaseline baseline =
       manager_->begin_drain(timeout_ms);
-  // Two racing triggers — the manager going idle, or the budget (plus
-  // the same 2s unwind grace the blocking drain used) lapsing — and the
-  // first one answers.  `answered` makes that exactly-once.
+  // Two racing triggers — the manager going idle, or the budget plus a
+  // 2s unwind grace lapsing — and the first one answers.  `answered`
+  // makes that exactly-once.
   auto answered = std::make_shared<std::atomic<bool>>(false);
-  std::weak_ptr<MuxConnection> weak = conn;
-  auto respond = [this, weak, trace_id, baseline, answered]() {
+  std::weak_ptr<MuxConnection> weak = ex.conn;
+  auto respond = [this, weak, version = ex.version, trace_id = ex.trace_id,
+                  baseline, answered]() {
     if (answered->exchange(true)) {
       return;
     }
@@ -858,11 +1030,17 @@ void SocketServer::handle_drain_framed(
     response.set("pinned_revisions", engine.pinned_revisions);
     response.set("pinned_bytes", engine.pinned_bytes);
     response.set("lease_expirations", engine.lease_expirations);
-    echo_trace(trace_id, response);
-    target->send_line(response.dump());
+    send_answer(*target, version, trace_id, std::move(response));
   };
   if (timeout_ms > 0) {
-    mux_->schedule_after(timeout_ms + 2000, respond);
+    // Saturating, like the budget itself: a timeout near INT64_MAX must
+    // not wrap the grace into the past.
+    constexpr std::int64_t kGraceMs = 2000;
+    mux_->schedule_after(
+        std::min(timeout_ms,
+                 std::numeric_limits<std::int64_t>::max() - kGraceMs) +
+            kGraceMs,
+        respond);
   }
   // NB: notify_when_idle may fire inline under the manager mutex;
   // respond() then calls drain_progress, which re-locks it — so defer
@@ -871,285 +1049,11 @@ void SocketServer::handle_drain_framed(
       [this, respond]() { mux_->schedule_after(0, respond); });
 }
 
-util::Json SocketServer::handle(const util::Json& request) {
-  // The request's trace id scopes the whole exchange: log lines and
-  // profiler events emitted while dispatching the verb carry it, and
-  // the response echoes it so the client can match frames to ids.  A
-  // request without one runs (and responds) without.
-  const std::string request_trace = trace_field(request);
-  const util::ScopedTraceContext trace_scope(request_trace);
-  util::Json response = handle_verb(request);
-  if (!request_trace.empty() && !response.contains("trace_id")) {
-    response.set("trace_id", request_trace);
-  }
-  return response;
-}
-
-util::Json SocketServer::handle_verb(const util::Json& request) {
-  try {
-    const std::string verb = request.at("verb").as_string();
-    if (verb == "auth") {
-      // The connection-scoped auth state lives in the framing layer
-      // (handle_frame); through the direct path the verb is a no-op
-      // acknowledgement so both entry points accept the same script.
-      util::Json response = ok_response();
-      response.set("authenticated", true);
-      return response;
-    }
-    if (verb == "hello") {
-      // Same negotiation math as the framed path, minus the connection
-      // state flip (the direct path has no connection) — both entry
-      // points accept the same script and answer the same frame.
-      int negotiated = 0;
-      return hello_response(request, negotiated);
-    }
-    if (verb == "register_network") {
-      (void)engine_->register_network(
-          request.at("id").as_string(),
-          graph::network_from_json(request.at("network")));
-      return ok_response();
-    }
-    if (verb == "submit") {
-      service::SolveJob job = service::job_from_json(request.at("job"));
-      // The job inherits the request's trace id unless the client
-      // stamped the job itself (the job-level id wins: it is what the
-      // span, the solve's log lines, and poll/wait echoes will carry).
-      if (job.trace_id.empty()) {
-        job.trace_id = util::trace_context();
-      }
-      int priority = 0;
-      if (const util::Json* p = request.find("priority")) {
-        priority = static_cast<int>(p->as_int());
-      }
-      const Ticket ticket = manager_->submit(job, priority);
-      util::Json response = ok_response();
-      response.set("ticket", ticket);
-      return response;
-    }
-    if (verb == "poll") {
-      return status_response(manager_->poll(ticket_field(request)));
-    }
-    if (verb == "wait") {
-      return status_response(manager_->wait(ticket_field(request)));
-    }
-    if (verb == "cancel") {
-      const bool cancelled = manager_->cancel(ticket_field(request));
-      util::Json response = ok_response();
-      response.set("cancelled", cancelled);
-      return response;
-    }
-    if (verb == "apply_link_updates") {
-      const std::vector<graph::LinkUpdate> updates =
-          service::link_updates_from_json(request.at("updates"));
-      const std::vector<service::SolveResult> resolved =
-          engine_->apply_link_updates(request.at("network").as_string(),
-                                      updates);
-      util::Json response = ok_response();
-      util::JsonArray results;
-      {
-        const util::ProfileScope serialize_phase("serialize", "daemon",
-                                                 resolved.size());
-        for (const service::SolveResult& r : resolved) {
-          results.push_back(service::result_entry_to_json(r));
-        }
-      }
-      response.set("results", util::Json(std::move(results)));
-      return response;
-    }
-    if (verb == "pause") {
-      manager_->pause();
-      return ok_response();
-    }
-    if (verb == "resume") {
-      manager_->resume();
-      return ok_response();
-    }
-    if (verb == "stats") {
-      const JobManagerStats jobs = manager_->stats();
-      const service::EngineStats engine = engine_->stats();
-      util::Json response = ok_response();
-      response.set("queued", jobs.queued);
-      response.set("running", jobs.running);
-      response.set("done", jobs.done);
-      response.set("failed", jobs.failed);
-      response.set("cancelled", jobs.cancelled);
-      response.set("timed_out", jobs.timed_out);
-      response.set("submitted", jobs.submitted);
-      response.set("paused", jobs.paused);
-      response.set("draining", jobs.draining);
-      response.set("sessions", engine.sessions);
-      response.set("subscriptions", engine.subscriptions);
-      response.set("arenas_created", engine.arenas_created);
-      response.set("cached_revisions", engine.cached_revisions);
-      response.set("cached_bytes", engine.cached_bytes);
-      response.set("cache_evictions", engine.cache_evictions);
-      // Incremental re-solve health: reuse hit rate and how much DP
-      // work the checkpoints actually saved, plus their cache charge.
-      response.set("incremental_hits", engine.incremental_hits);
-      response.set("incremental_misses", engine.incremental_misses);
-      response.set("incremental_columns_reused",
-                   engine.incremental_columns_reused);
-      response.set("checkpoints", engine.checkpoints);
-      response.set("checkpoint_bytes", engine.checkpoint_bytes);
-      response.set("checkpoint_evictions", engine.checkpoint_evictions);
-      // Leak diagnostic: superseded revisions still pinned by outside
-      // references.  Steady state == subscriptions; monotonic growth
-      // means a solve hung and pins its revision forever.
-      response.set("pinned_revisions", engine.pinned_revisions);
-      response.set("pinned_bytes", engine.pinned_bytes);
-      // Lease health: pins force-released because a solve outlived its
-      // budget (always 0 with leases off).
-      response.set("lease_expirations", engine.lease_expirations);
-      // Which frame-rate kernel serves this engine's jobs, plus how many
-      // each kernel has served (operators check this after forcing a
-      // kernel via ELPC_FORCE_KERNEL or serve --kernel).
-      response.set("kernel", engine.kernel);
-      util::Json kernel_jobs = util::JsonObject{};
-      for (const auto& [name, served] : engine.kernel_jobs) {
-        kernel_jobs.set(name, served);
-      }
-      response.set("kernel_jobs", std::move(kernel_jobs));
-      // Front-end health: who is connected over what, whether auth
-      // gates them, and the fixed-pool thread invariant (threads_os
-      // must not scale with connections — the 1000-idle-client smoke
-      // asserts exactly this field).
-      const std::size_t live = mux_ ? mux_->connection_count() : 0;
-      const std::size_t live_v2 = live_v2_.load(std::memory_order_relaxed);
-      response.set("connections", live);
-      response.set("connections_unix",
-                   mux_ ? mux_->connection_count("unix") : 0);
-      response.set("connections_tcp",
-                   mux_ ? mux_->connection_count("tcp") : 0);
-      // Per-protocol split of the same live count: v2 = connections
-      // that negotiated via `hello`, v1 = everyone else (including
-      // clients predating negotiation entirely).
-      response.set("connections_v1", live >= live_v2 ? live - live_v2 : 0);
-      response.set("connections_v2", live_v2);
-      response.set("protocol_min", wire::kProtocolVersionMin);
-      response.set("protocol_max", wire::kProtocolVersionMax);
-      response.set("connections_accepted",
-                   mux_ ? mux_->connections_total("unix") +
-                              mux_->connections_total("tcp")
-                        : 0);
-      response.set("auth_required", !options_.auth_token.empty());
-      response.set("auth_failures", auth_failures_c_->value());
-      response.set("quota_rejections", quota_rejections_c_->value());
-      response.set("io_workers", options_.io_workers);
-      response.set("threads_os", os_thread_count());
-      response.set("tcp_port", tcp_port());
-      // Daemon provenance + clock anchors: uptime for `client top`'s
-      // rate math, the wall-clock start for log correlation, and what
-      // this binary was built from.
-      response.set("uptime_ms",
-                   std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - started_)
-                       .count());
-      response.set("started_unix_ms", started_unix_ms_);
-      response.set("slow_ms", options_.slow_ms);
-      response.set("build", build_info_json());
-      // The same snapshot the `metrics` verb exposes, in compact JSON
-      // (per-family percentiles, no bucket arrays) — one round trip for
-      // `client top` and the chaos driver's invariants.
-      response.set("metrics", metrics_.json_snapshot());
-      return response;
-    }
-    if (verb == "metrics") {
-      // Prometheus text exposition, shipped as one JSON string field so
-      // the line-delimited framing stays intact.
-      util::Json response = ok_response();
-      response.set("text", metrics_.prometheus_text());
-      return response;
-    }
-    if (verb == "slowlog") {
-      // Server-side filters: entries leave the ring already narrowed, so
-      // a client chasing one state/kernel over a fat slowlog doesn't
-      // ship (or parse) the rest.  `total` stays the unfiltered
-      // cumulative count — it is the conservation anchor.
-      std::string state_filter;
-      std::string kernel_filter;
-      double min_ms = 0.0;
-      if (const util::Json* s = request.find("state")) {
-        state_filter = s->as_string();
-      }
-      if (const util::Json* k = request.find("kernel")) {
-        kernel_filter = k->as_string();
-      }
-      if (const util::Json* m = request.find("min_ms")) {
-        min_ms = m->as_number();
-      }
-      util::Json response = ok_response();
-      response.set("slow_ms", options_.slow_ms);
-      response.set("total", slowlog_.total_added());
-      util::JsonArray entries;
-      for (const TraceSpan& span : slowlog_.entries()) {
-        if (!state_filter.empty() && span.state != state_filter) {
-          continue;
-        }
-        if (!kernel_filter.empty() && span.kernel != kernel_filter) {
-          continue;
-        }
-        if (span.e2e_ms < min_ms) {
-          continue;
-        }
-        entries.push_back(span_to_json(span));
-      }
-      response.set("entries", util::Json(std::move(entries)));
-      return response;
-    }
-    if (verb == "trace") {
-      // Draining consumes the rings: each event is exported exactly
-      // once, so periodic `trace` pulls tile the timeline instead of
-      // repeating it.  Spans are not consumed (the ring keeps its
-      // retention window); spans_total counts every terminal job ever.
-      const util::ProfilerSnapshot snapshot = util::Profiler::drain();
-      const std::vector<TraceSpan> spans = tracelog_.entries();
-      util::Json response = ok_response();
-      response.set("profiling", util::Profiler::enabled());
-      response.set("events", snapshot.events.size());
-      response.set("recorded", snapshot.recorded);
-      response.set("dropped", snapshot.dropped);
-      response.set("drained", snapshot.drained);
-      response.set("threads", snapshot.threads);
-      response.set("spans", spans.size());
-      response.set("spans_total", tracelog_.total_added());
-      response.set("trace", chrome_trace_json(snapshot, spans));
-      return response;
-    }
-    if (verb == "drain") {
-      std::int64_t timeout_ms = 10000;
-      if (const util::Json* t = request.find("timeout_ms")) {
-        timeout_ms = t->as_int();
-      }
-      // The blocking form — the direct handle() path for tests and
-      // legacy callers; the mux route (handle_drain_framed) answers the
-      // same payload completion-driven.
-      const DrainReport report = manager_->drain(timeout_ms);
-      const service::EngineStats engine = engine_->stats();
-      util::Json response = ok_response();
-      response.set("drained", report.drained);
-      response.set("completed", report.completed);
-      response.set("timed_out", report.timed_out);
-      response.set("queued", report.queued);
-      response.set("running", report.running);
-      response.set("pinned_revisions", engine.pinned_revisions);
-      response.set("pinned_bytes", engine.pinned_bytes);
-      response.set("lease_expirations", engine.lease_expirations);
-      return response;
-    }
-    if (verb == "shutdown") {
-      shutdown_requested_.store(true, std::memory_order_release);
-      serve_cv_.notify_all();
-      // New connections must find a closed door while teardown runs.
-      listener_.close();
-      if (tcp_listener_) {
-        tcp_listener_->close();
-      }
-      return ok_response();
-    }
-    return error_response("unknown verb '" + verb + "'");
-  } catch (const std::exception& e) {
-    return error_response(e.what());
-  }
+void SocketServer::verb_shutdown(Exchange& ex) {
+  // Answer first: the serve() teardown flushes queued answers
+  // best-effort on the way down.
+  ex.reply(ok_response());
+  stop();
 }
 
 }  // namespace elpc::daemon

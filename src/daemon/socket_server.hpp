@@ -50,10 +50,18 @@
 //                                            when safe to kill)
 //   shutdown         {}                   -> {} and the server exits
 //
+// Dispatch: one verb table (SocketServer::dispatch) maps each verb name
+// to its one handler and says whether it is served unauthenticated.
+// Wire requests and handle() both go through it.  Answers that carry
+// solve results (poll, wait, apply_link_updates) are encoded in one
+// place: inline JSON on v1, a control line plus a result-table frame
+// on v2.
+//
 // Trace ids: a request carrying "trace_id" is handled with that id as
 // the thread's util::trace_context (so its log lines and profiler
 // events carry it), a submitted job inherits it unless the job set its
-// own, and the id is echoed on the response frame.
+// own, and the id is echoed on the response frame unless the answer
+// already carries one (a job's own id wins on poll/wait).
 //
 // A malformed or failing request answers ok=false on that frame; the
 // connection (and the daemon) stays up — clients must never be able to
@@ -208,12 +216,14 @@ class SocketServer {
   /// the slow ones.
   [[nodiscard]] SlowLog& tracelog() { return tracelog_; }
 
-  /// Handles one already-parsed request and returns the response frame —
-  /// the protocol's pure core, shared by the IO workers and direct
-  /// tests (thread-safe).  Never throws; failures become
-  /// {"ok": false, "error": ...}.  Connection-scoped concerns (auth,
-  /// quotas, the async wait/drain paths) live in the framing layer
-  /// above — this entry point behaves as a fully-authorized connection.
+  /// Serves one already-parsed request through the same verb table as
+  /// the wire, as a connection-less, authorized v1 exchange, and returns
+  /// the answer frame (thread-safe).  Never throws; failures become
+  /// {"ok": false, "error": ...}.  No auth gate or quota applies, and
+  /// results come back inline as v1 JSON.  `auth`, `hello`, `wait` and
+  /// `drain` act on a connection, so they answer ok=false ("verb 'wait'
+  /// needs a connection"); in-process callers block on JobManager::wait
+  /// / drain instead.
   [[nodiscard]] util::Json handle(const util::Json& request);
 
  private:
@@ -231,45 +241,42 @@ class SocketServer {
     std::atomic<std::size_t> inflight_bytes{0};
   };
 
-  /// The verb dispatch behind handle(), which wraps it with the
-  /// request's trace context and echoes the id on the response.
-  [[nodiscard]] util::Json handle_verb(const util::Json& request);
-  /// The mux's on_frame callback: parse, auth/quota gate, dispatch —
-  /// synchronously through handle() for most verbs, via completion
-  /// callbacks for wait/drain.
+  /// One request on its way through the verb table (socket_server.cpp).
+  struct Exchange;
+
+  /// The mux's on_frame callback: parses the line and dispatches it.
   void handle_frame(const std::shared_ptr<MuxConnection>& conn,
                     const std::string& line);
-  void handle_auth(const std::shared_ptr<MuxConnection>& conn,
-                   ConnState& state, const util::Json& request);
-  /// Protocol-version negotiation (framed path: flips the connection's
-  /// ConnState::version and the per-proto gauges on success).
-  void handle_hello(const std::shared_ptr<MuxConnection>& conn,
-                    ConnState& state, const util::Json& request);
-  void handle_submit_framed(const std::shared_ptr<MuxConnection>& conn,
-                            const std::shared_ptr<ConnState>& state,
-                            const util::Json& request,
-                            std::size_t frame_bytes);
-  /// `version` is the connection's negotiated protocol at request time —
-  /// captured by value so a later renegotiation cannot change how an
-  /// already-armed completion encodes its response.
-  void handle_wait_framed(const std::shared_ptr<MuxConnection>& conn,
-                          const util::Json& request, int version);
-  /// v2 poll: terminal statuses ship the result entry as a binary
-  /// result-table frame behind a JSON control line.
-  void handle_poll_v2(const std::shared_ptr<MuxConnection>& conn,
-                      const util::Json& request);
-  /// v2 apply_link_updates: the re-solved subscription results leave as
-  /// one binary result-table frame instead of a JSON array.
-  void handle_link_updates_v2(const std::shared_ptr<MuxConnection>& conn,
-                              const util::Json& request);
-  /// The mux's on_binary_frame callback: v2 binary requests (today the
-  /// kLinkUpdateTable bulk apply_link_updates).  A binary frame on a
-  /// connection that never negotiated v2 answers code "protocol".
+  /// The mux's on_binary_frame callback: apply_link_updates' bulk form
+  /// (a kLinkUpdateTable frame).  A binary frame on a connection that
+  /// never negotiated v2 answers code "protocol".
   void handle_binary_frame(const std::shared_ptr<MuxConnection>& conn,
                            const wire::FrameHeader& header,
                            std::string_view payload);
-  void handle_drain_framed(const std::shared_ptr<MuxConnection>& conn,
-                           const util::Json& request);
+  /// The one dispatcher behind both entry points: looks the verb up in
+  /// the verb table, refuses gated verbs on an unauthenticated
+  /// connection, and runs the handler under the request's trace
+  /// context; any exception answers ok=false.
+  void dispatch(Exchange& ex);
+
+  // One handler per verb, named by dispatch()'s table.  Each answers
+  // through Exchange::reply, or later from a completion callback.
+  void verb_auth(Exchange& ex);
+  void verb_hello(Exchange& ex);
+  void verb_register_network(Exchange& ex);
+  void verb_submit(Exchange& ex);
+  void verb_poll(Exchange& ex);
+  void verb_wait(Exchange& ex);
+  void verb_cancel(Exchange& ex);
+  void verb_apply_link_updates(Exchange& ex);
+  void verb_pause(Exchange& ex);
+  void verb_resume(Exchange& ex);
+  void verb_stats(Exchange& ex);
+  void verb_metrics(Exchange& ex);
+  void verb_slowlog(Exchange& ex);
+  void verb_trace(Exchange& ex);
+  void verb_drain(Exchange& ex);
+  void verb_shutdown(Exchange& ex);
   /// Registers the collect callback that refreshes the daemon gauges
   /// (queue depth, cache occupancy, pins, connections, uptime) from
   /// live stats.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -359,16 +360,20 @@ CancelFn BatchEngine::with_deadlines(
     if (jobs[i].deadline_ms <= 0) {
       continue;
     }
-    (*deadlines)[i] = start + std::chrono::milliseconds(jobs[i].deadline_ms);
+    (*deadlines)[i] = util::saturating_add_ms(start, jobs[i].deadline_ms);
     // Keep the solved-against revision pinned for the job's budget plus
     // grace: an on-schedule job (even one that times out on schedule)
     // releases its own pin first; only a genuinely stalled solve loses
     // the cache's obligation via lease expiry.
     if (i < bindings.size() && bindings[i].session != nullptr) {
-      bindings[i].session->extend_lease(
-          snapshots[i].revision,
-          jobs[i].deadline_ms +
-              std::max<std::int64_t>(0, options_.lease_grace_ms));
+      // The sum saturates: a wire-supplied budget near INT64_MAX must
+      // not wrap the lease into the past.
+      const std::int64_t grace =
+          std::max<std::int64_t>(0, options_.lease_grace_ms);
+      const std::int64_t budget = std::min(
+          jobs[i].deadline_ms, std::numeric_limits<std::int64_t>::max() - grace);
+      bindings[i].session->extend_lease(snapshots[i].revision,
+                                        budget + grace);
     }
   }
   return [user, deadlines](std::size_t i) {

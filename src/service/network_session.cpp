@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/timer.hpp"
+
 namespace elpc::service {
 
 NetworkSession::NetworkSession(std::string id, graph::Network network,
@@ -53,7 +55,7 @@ void NetworkSession::apply_link_updates(
     // any extension granted while it was still current (a deadline job
     // mid-solve against it must keep its pin through its budget).
     cached.lease_expiry =
-        LeaseClock::now() + std::chrono::milliseconds(lease_ms_);
+        util::saturating_add_ms(LeaseClock::now(), lease_ms_);
     const auto pending = pending_leases_.find(revision_);
     if (pending != pending_leases_.end()) {
       cached.lease_expiry = std::max(cached.lease_expiry, pending->second);
@@ -76,7 +78,7 @@ void NetworkSession::extend_lease(std::uint64_t revision,
     return;
   }
   const LeaseClock::time_point until =
-      LeaseClock::now() + std::chrono::milliseconds(extra_ms);
+      util::saturating_add_ms(LeaseClock::now(), extra_ms);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (revision == revision_) {
     auto [it, inserted] = pending_leases_.emplace(revision, until);

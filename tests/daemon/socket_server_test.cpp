@@ -9,6 +9,7 @@
 
 #include "daemon/client.hpp"
 #include "graph/generators.hpp"
+#include "graph/serialize.hpp"
 #include "pipeline/generator.hpp"
 #include "service/serialize.hpp"
 #include "util/rng.hpp"
@@ -403,15 +404,20 @@ TEST(SocketServer, HelloNegotiatesAndMixedVersionsAnswerIdentically) {
   serve_thread.join();
 }
 
-/// Hello edge cases through the direct handle() path: defaults (1..1),
-/// a disjoint range (code version_mismatch), and min > max (code
-/// protocol) — plus the stats frame advertising the server's range.
+/// Hello edge cases over a real socket: defaults (1..1), a disjoint
+/// range (code version_mismatch), and min > max (code protocol) — plus
+/// the stats frame advertising the server's range.  The client is
+/// pinned to v1 so the raw hello frames are the only negotiation.
 TEST(SocketServer, HelloEdgeCasesAnswerStableCodes) {
   SocketServer server(socket_path("helloedge"), SocketServerOptions{});
+  std::thread serve_thread([&server]() { server.serve(); });
+  DaemonClientOptions options;
+  options.protocol = ProtocolPreference::kV1;
+  DaemonClient client(server.socket_path(), options);
 
   util::Json plain = util::JsonObject{};
   plain.set("verb", "hello");
-  const util::Json defaulted = server.handle(plain);
+  const util::Json defaulted = client.request(plain);
   EXPECT_TRUE(defaulted.at("ok").as_bool());
   EXPECT_EQ(defaulted.at("version").as_int(), 1);
 
@@ -419,7 +425,7 @@ TEST(SocketServer, HelloEdgeCasesAnswerStableCodes) {
   disjoint.set("verb", "hello");
   disjoint.set("min_version", 3);
   disjoint.set("max_version", 9);
-  const util::Json mismatch = server.handle(disjoint);
+  const util::Json mismatch = client.request(disjoint);
   EXPECT_FALSE(mismatch.at("ok").as_bool());
   EXPECT_EQ(mismatch.at("code").as_string(), "version_mismatch");
   EXPECT_EQ(mismatch.at("min_version").as_int(), wire::kProtocolVersionMin);
@@ -429,7 +435,7 @@ TEST(SocketServer, HelloEdgeCasesAnswerStableCodes) {
   inverted.set("verb", "hello");
   inverted.set("min_version", 2);
   inverted.set("max_version", 1);
-  const util::Json malformed = server.handle(inverted);
+  const util::Json malformed = client.request(inverted);
   EXPECT_FALSE(malformed.at("ok").as_bool());
   EXPECT_EQ(malformed.at("code").as_string(), "protocol");
 
@@ -438,6 +444,132 @@ TEST(SocketServer, HelloEdgeCasesAnswerStableCodes) {
   const util::Json stats = server.handle(stats_frame);
   EXPECT_EQ(stats.at("protocol_min").as_int(), wire::kProtocolVersionMin);
   EXPECT_EQ(stats.at("protocol_max").as_int(), wire::kProtocolVersionMax);
+
+  client.shutdown_server();
+  serve_thread.join();
+}
+
+/// handle() is the verb table without a connection: an authorized v1
+/// exchange that answers submit/poll like the wire does and refuses the
+/// verbs that act on a connection instead of blocking or no-op'ing.
+TEST(SocketServer, DirectHandleRefusesConnectionVerbs) {
+  SocketServerOptions options;
+  options.threads = 1;
+  options.auth_token = "secret";  // handle() is authorized regardless
+  SocketServer server(socket_path("direct"), options);
+
+  util::Json reg = util::JsonObject{};
+  reg.set("verb", "register_network");
+  reg.set("id", "net");
+  reg.set("network", graph::to_json(make_network(3)));
+  EXPECT_TRUE(server.handle(reg).at("ok").as_bool());
+
+  util::Json submit = util::JsonObject{};
+  submit.set("verb", "submit");
+  submit.set("job",
+             service::to_json(make_job("d", 80, service::Objective::kMinDelay)));
+  submit.set("trace_id", "t-direct");
+  const util::Json submitted = server.handle(submit);
+  ASSERT_TRUE(submitted.at("ok").as_bool());
+  EXPECT_EQ(submitted.at("trace_id").as_string(), "t-direct");
+  const Ticket ticket = static_cast<Ticket>(submitted.at("ticket").as_int());
+  (void)server.manager().wait(ticket);
+
+  util::Json poll = util::JsonObject{};
+  poll.set("verb", "poll");
+  poll.set("ticket", static_cast<std::int64_t>(ticket));
+  const util::Json polled = server.handle(poll);
+  EXPECT_EQ(polled.at("state").as_string(), "done");
+  EXPECT_TRUE(polled.contains("result"));    // v1: the entry inline
+  EXPECT_FALSE(polled.contains("payload"));  // never a v2 frame marker
+
+  for (const char* verb : {"auth", "hello", "wait", "drain"}) {
+    util::Json frame = util::JsonObject{};
+    frame.set("verb", verb);
+    frame.set("ticket", static_cast<std::int64_t>(ticket));
+    const util::Json refused = server.handle(frame);
+    EXPECT_FALSE(refused.at("ok").as_bool()) << verb;
+    EXPECT_EQ(refused.at("error").as_string(),
+              std::string("verb '") + verb + "' needs a connection");
+  }
+  EXPECT_FALSE(server.manager().stats().draining);
+
+  util::Json unknown = util::JsonObject{};
+  unknown.set("verb", "no_such_verb");
+  EXPECT_EQ(server.handle(unknown).at("error").as_string(),
+            "unknown verb 'no_such_verb'");
+}
+
+/// A deadline_ms past the steady clock's nanosecond range means "no
+/// practical deadline": the job runs to completion instead of expiring
+/// at once because `now + deadline` wrapped into the past.
+TEST(SocketServer, OversizedDeadlineDoesNotExpireTheJob) {
+  SocketServerOptions options;
+  options.threads = 1;
+  SocketServer server(socket_path("bigdeadline"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+  DaemonClient client(server.socket_path());
+  client.register_network("net", make_network(3));
+
+  for (const std::int64_t deadline_ms :
+       {std::int64_t{1000000000000}, std::int64_t{10000000000000},
+        std::int64_t{9000000000000000000}}) {
+    service::SolveJob job =
+        make_job("big" + std::to_string(deadline_ms), 60,
+                 service::Objective::kMaxFrameRate);
+    job.deadline_ms = deadline_ms;
+    const util::Json done = client.wait(client.submit(job));
+    EXPECT_EQ(done.at("state").as_string(), "done") << deadline_ms;
+  }
+
+  client.shutdown_server();
+  serve_thread.join();
+}
+
+/// A drain budget past the clock's range must neither time the queued
+/// jobs out at once nor answer before they finish: the paused queue
+/// runs, and the report says drained with nothing timed out.
+TEST(SocketServer, OversizedDrainBudgetWaitsForTheQueue) {
+  SocketServerOptions options;
+  options.threads = 1;
+  options.start_paused = true;
+  SocketServer server(socket_path("bigdrain"), options);
+  std::thread serve_thread([&server]() { server.serve(); });
+  DaemonClient client(server.socket_path());
+  client.register_network("net", make_network(3));
+  std::vector<Ticket> tickets;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    tickets.push_back(client.submit(make_job(
+        "q" + std::to_string(i), 70 + i, service::Objective::kMinDelay)));
+  }
+
+  const util::Json report = client.drain(10000000000000);
+  EXPECT_TRUE(report.at("ok").as_bool());
+  EXPECT_TRUE(report.at("drained").as_bool());
+  EXPECT_EQ(report.at("completed").as_int(), 3);
+  EXPECT_EQ(report.at("timed_out").as_int(), 0);
+  for (const Ticket ticket : tickets) {
+    EXPECT_EQ(client.poll(ticket).at("state").as_string(), "done");
+  }
+
+  client.shutdown_server();
+  serve_thread.join();
+}
+
+/// A ticket outside int64_t answers a JSON range error instead of
+/// whatever an out-of-range double-to-integer cast happens to yield.
+TEST(SocketServer, OutOfRangeTicketAnswersARangeError) {
+  SocketServer server(socket_path("bigticket"), SocketServerOptions{});
+  std::thread serve_thread([&server]() { server.serve(); });
+  DaemonClient client(server.socket_path());
+
+  const util::Json answer =
+      client.request(util::Json::parse(R"({"verb":"poll","ticket":1e30})"));
+  EXPECT_FALSE(answer.at("ok").as_bool());
+  EXPECT_EQ(answer.at("error").as_string(), "Json: integer out of range");
+
+  client.shutdown_server();
+  serve_thread.join();
 }
 
 /// A client demanding v2 from a server that cannot speak it must fail

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace elpc::util {
 namespace {
 
@@ -80,6 +83,15 @@ TEST(JsonAccess, MissingKeyThrows) {
 
 TEST(JsonAccess, NonIntegralNumberRejectedByAsInt) {
   EXPECT_THROW((void)Json::parse("1.5").as_int(), JsonError);
+  // Integral but outside int64_t: rejected, never cast.  2^63 is the
+  // first double past INT64_MAX; -2^63 is INT64_MIN exactly.
+  EXPECT_THROW((void)Json::parse("1e30").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("-1e30").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("9223372036854775808").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("-9.3e18").as_int(), JsonError);
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("9e18").as_int(), 9000000000000000000);
 }
 
 TEST(JsonBuild, SetAndPushBack) {

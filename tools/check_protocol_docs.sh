@@ -2,15 +2,18 @@
 # Docs-consistency gate: every verb the daemon dispatches AND every
 # stable error code it answers must be documented in docs/protocol.md.
 #
-# The sources of truth are the dispatch comparisons in
-# src/daemon/socket_server.cpp (`verb == "..."`) and the code constants
-# in src/daemon/error_codes.hpp; the doc must mention each name
-# somewhere (section headers use the bare name, tables and prose use
-# `backticks`).  Run from anywhere:
+# The sources of truth are the verb table in
+# src/daemon/socket_server.cpp (entries `{"name", kOpen|kGated,
+# &SocketServer::verb_...}`) and the code constants in
+# src/daemon/error_codes.hpp; the doc must mention each name somewhere
+# (section headers use the bare name, tables and prose use `backticks`).
+# A verb named by two table entries also fails: each verb has exactly
+# one handler.  Run from anywhere:
 #
 #   sh tools/check_protocol_docs.sh
 #
-# Exits non-zero listing the undocumented verbs/codes.
+# Exits non-zero listing the undocumented (or doubly dispatched)
+# verbs/codes.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -22,8 +25,19 @@ doc="$repo_root/docs/protocol.md"
 [ -f "$codes" ] || { echo "check_protocol_docs: missing $codes" >&2; exit 2; }
 [ -f "$doc" ] || { echo "check_protocol_docs: missing $doc" >&2; exit 2; }
 
-verbs=$(grep -oE 'verb == "[a-z_]+"' "$server" | sed 's/.*"\(.*\)"/\1/' | sort -u)
-[ -n "$verbs" ] || { echo "check_protocol_docs: no dispatched verbs found in $server (pattern drift?)" >&2; exit 2; }
+entries=$(grep -oE '\{"[a-z_]+", [A-Za-z_]+, &SocketServer::' "$server" | sed 's/^{"\([a-z_]*\)".*/\1/')
+[ -n "$entries" ] || { echo "check_protocol_docs: no verb table entries found in $server (pattern drift?)" >&2; exit 2; }
+
+twice=$(printf '%s\n' "$entries" | sort | uniq -d)
+if [ -n "$twice" ]; then
+  echo "check_protocol_docs: verbs with more than one entry in the verb table of src/daemon/socket_server.cpp:" >&2
+  for verb in $twice; do
+    echo "  - $verb" >&2
+  done
+  echo "Give each verb exactly one handler." >&2
+  exit 1
+fi
+verbs=$(printf '%s\n' "$entries" | sort)
 
 missing=""
 for verb in $verbs; do
@@ -34,7 +48,7 @@ done
 
 count=$(printf '%s\n' "$verbs" | wc -l | tr -d ' ')
 if [ -n "$missing" ]; then
-  echo "check_protocol_docs: verbs dispatched in src/daemon/socket_server.cpp but missing from docs/protocol.md:" >&2
+  echo "check_protocol_docs: verbs in the verb table of src/daemon/socket_server.cpp but missing from docs/protocol.md:" >&2
   for verb in $missing; do
     echo "  - $verb" >&2
   done
